@@ -94,6 +94,7 @@ def test_socket_roundtrip_latency_warm(benchmark, tmp_path, intel_benchmarks):
         data = dict(record_dict)
         data.pop("time_seconds")
         data.pop("cache_hit")
+        data.pop("solver_solve_seconds")
         return data
 
     serial_side = [comparable(r.to_dict()) for r in serial]

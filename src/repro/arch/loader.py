@@ -130,7 +130,8 @@ def load_architecture(name_or_path: str) -> ArchDescription:
         canonical = _ALIASES.get(name_or_path.lower().removesuffix(".yml"))
         if canonical is None:
             raise KeyError(
-                f"unknown architecture {name_or_path!r}; available: {available_architectures()}")
+                f"unknown architecture {name_or_path!r}; available: "
+                f"{', '.join(available_architectures())}")
         path = descriptions_directory() / f"{canonical}.yml"
     text = path.read_text()
     data = yamllite.loads(text)

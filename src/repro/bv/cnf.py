@@ -48,7 +48,14 @@ class IncrementalCnf:
         self._encoded: Set[int] = {0}
 
     def encode(self, output_lits: List[int]) -> None:
-        """Append gate clauses for any not-yet-encoded cone of ``output_lits``."""
+        """Append gate clauses for any not-yet-encoded cone of ``output_lits``.
+
+        The clauses go straight onto ``cnf.clauses``: every literal is a
+        non-zero variable of at most ``aig.num_nodes`` by construction,
+        which is what ``CNF.add_clause`` would otherwise check one literal
+        at a time, and ``num_vars`` is raised to cover them at the end.
+        """
+        nodes = self.aig._nodes
         needed: Set[int] = set()
         stack = [lit >> 1 for lit in output_lits]
         while stack:
@@ -56,23 +63,24 @@ class IncrementalCnf:
             if index in needed or index in self._encoded:
                 continue
             needed.add(index)
-            left, right = self.aig.node(index)
-            if (left, right) != (-1, -1) and index != 0:
+            left, right = nodes[index]
+            if left >= 0:  # an AND gate; (-1, -1) marks a primary input
                 stack.append(left >> 1)
                 stack.append(right >> 1)
+        self._encoded.update(needed)
 
+        clauses = self.cnf.clauses
         for index in sorted(needed):
-            self._encoded.add(index)
-            if self.aig.is_input(index):
+            left, right = nodes[index]
+            if left < 0:
                 continue
-            left, right = self.aig.node(index)
             out_var = index + 1
             left_lit = lit_to_cnf(left)
             right_lit = lit_to_cnf(right)
             # out <-> left AND right
-            self.cnf.add_clause([-out_var, left_lit])
-            self.cnf.add_clause([-out_var, right_lit])
-            self.cnf.add_clause([out_var, -left_lit, -right_lit])
+            clauses.append([-out_var, left_lit])
+            clauses.append([-out_var, right_lit])
+            clauses.append([out_var, -left_lit, -right_lit])
 
         self.cnf.num_vars = max(self.cnf.num_vars, self.aig.num_nodes)
 

@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.arch import available_architectures
+from repro.arch import available_architectures, load_architecture
 from repro.core.templates import available_templates
 from repro.engine.session import MappingSession
 
@@ -375,6 +375,14 @@ def _main_map(argv) -> int:
 
     if args.probes < 0:
         parser.error("--probes must be non-negative")
+    try:
+        architecture = load_architecture(args.arch_desc)
+    except (KeyError, ValueError) as exc:
+        detail = exc.args[0] if exc.args else type(exc).__name__
+        if Path(args.arch_desc).exists() and args.arch_desc not in str(detail):
+            detail = f"invalid architecture description {args.arch_desc}: {detail}"
+        print(f"lakeroad: error: {detail}", file=sys.stderr)
+        return 1
     session = MappingSession(enable_cache=not args.no_cache,
                              cache_dir=args.cache_dir,
                              portfolio=args.portfolio,
@@ -384,7 +392,7 @@ def _main_map(argv) -> int:
     result = session.map_verilog(
         source,
         template=args.template,
-        arch=args.arch_desc,
+        arch=architecture,
         module_name=args.module,
         timeout_seconds=args.timeout,
         extra_cycles=args.extra_cycles,

@@ -178,6 +178,12 @@ class LegacyCDCLSolver:
         self.watches.setdefault(reduced[1], []).append(index)
         return self._ok
 
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> bool:
+        """Add a batch of clauses, one :meth:`add_clause` call each."""
+        for clause in clauses:
+            self.add_clause(clause)
+        return self._ok
+
     def _add_clause(self, clause: List[int], learnt: bool = False) -> bool:
         """Construction-time clause attachment (level 0, trail unpropagated)."""
         clause = list(dict.fromkeys(clause))

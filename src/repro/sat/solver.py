@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, complete_model
@@ -468,38 +469,56 @@ class CDCLSolver:
         wl.append(first)
 
     def add_clause(self, literals: Sequence[int]) -> bool:
-        """Add a clause to a (possibly already solved-on) solver.
+        """Add one clause to a (possibly already solved-on) solver.
 
-        This is the incremental entry point: the solver first backtracks to
-        decision level 0, then attaches the clause with the root-level
-        assignment taken into account — literals already false at level 0
-        are dropped (they are false forever), and a clause already satisfied
-        at level 0 is skipped entirely.  Returns ``False`` once the clause
-        database has become unsatisfiable.
+        The one-clause case of :meth:`add_clauses`, whose level-0
+        simplification contract it shares.  Returns ``False`` once the
+        clause database has become unsatisfiable.
         """
-        self._cancel_until(0)
-        clause = [int(lit) for lit in literals]
-        if clause:
-            self.ensure_vars(max(abs(lit) for lit in clause))
-        clause = list(dict.fromkeys(clause))
-        if any(-lit in clause for lit in clause):
-            return self._ok  # tautology
-        reduced: List[int] = []
-        for lit in clause:
-            value = self._value(lit)
-            if value is True:
-                return self._ok  # satisfied at level 0 forever
-            if value is None:
-                reduced.append(lit)
-        if not reduced:
-            self._ok = False
-            return False
-        if len(reduced) == 1:
-            if not self._enqueue(reduced[0], -1):
-                self._ok = False
+        return self.add_clauses((literals,))
+
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> bool:
+        """Add a batch of clauses to a (possibly already solved-on) solver.
+
+        This is the incremental entry point.  A non-empty batch first
+        backtracks to decision level 0 and grows the variable universe to
+        the batch's largest variable, once; an empty batch is a no-op, so
+        the trail (and the next solve's assumption-prefix reuse) survives.
+        Each clause, in order, is then attached against the root-level
+        assignment as it stands after the clauses before it: duplicate
+        literals and literals false at level 0 are dropped (they are false
+        forever), a clause already satisfied at level 0 or containing a
+        complementary pair is skipped entirely, a clause reduced to one
+        literal is enqueued as a level-0 unit (propagated by the next
+        :meth:`solve`), and a clause reduced to nothing marks the database
+        unsatisfiable.  Returns ``False`` once the clause database has
+        become unsatisfiable.
+        """
+        if not clauses:
             return self._ok
-        off = self._alloc_clause(reduced, 0, False)
-        self._attach(off, reduced[0], reduced[1])
+        self._cancel_until(0)
+        self.ensure_vars(max(map(abs, chain.from_iterable(clauses)), default=0))
+        vals = self._vals
+        for literals in clauses:
+            reduced: List[int] = []
+            for lit in literals:
+                value = vals[lit]
+                if value == 0:
+                    if lit in reduced:
+                        continue
+                    if -lit in reduced:
+                        break  # tautology
+                    reduced.append(lit)
+                elif value > 0:
+                    break  # satisfied at level 0 forever
+            else:
+                if len(reduced) > 1:
+                    off = self._alloc_clause(reduced, 0, False)
+                    self._attach(off, reduced[0], reduced[1])
+                elif reduced:
+                    self._enqueue(reduced[0], -1)
+                else:
+                    self._ok = False
         return self._ok
 
     def _add_clause(self, clause: List[int]) -> bool:

@@ -226,6 +226,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["/nonexistent/file.v"])
 
+    @staticmethod
+    def _design(tmp_path):
+        path = tmp_path / "mul.v"
+        path.write_text("module mul(input [7:0] a, b, output [7:0] out);"
+                        " assign out = a * b; endmodule")
+        return path
+
+    def test_unknown_arch_desc_is_one_line_error(self, tmp_path, capsys):
+        exit_code = main([str(self._design(tmp_path)), "--arch-desc", "nope"])
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "lakeroad: error: unknown architecture 'nope'; available: "
+            "intel-cyclone10lp, lattice-ecp5, sofa, xilinx-ultrascale-plus\n")
+
+    def test_malformed_arch_desc_file_is_one_line_error(self, tmp_path, capsys):
+        description = tmp_path / "broken.yml"
+        description.write_text("implementations:\n  - {broken\n")
+        exit_code = main(["map", str(self._design(tmp_path)),
+                          "--arch-desc", str(description)])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lakeroad: error: invalid architecture "
+                              f"description {description}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_end_to_end_on_fast_architecture(self, tmp_path, capsys):
         source = ("module mul(input clk, input [7:0] a, b, output [7:0] out);"
                   " assign out = a * b; endmodule")

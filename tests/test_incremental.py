@@ -16,7 +16,9 @@ from repro.bv import (
     bv, bvvar, bvmul, bvand, bvor, bvxor, bvite, bveq, bvne, bvult,
     bvconcat, bvextract, bvlshr, zero_extend,
 )
+from repro.bv.aig import AIG
 from repro.bv.bitblast import IncrementalContext
+from repro.bv.cnf import IncrementalCnf, lit_to_cnf
 from repro.engine.budget import Budget
 from repro.engine.session import MappingSession
 from repro.hdl.behavioral import verilog_to_behavioral
@@ -147,6 +149,205 @@ class TestIncrementalCdcl:
                                    **config).solve().status
                         for config in configs}
             assert len(statuses) == 1
+
+
+def _reference_add_clause(solver, literals):
+    """The per-clause load path ``add_clauses`` replaced, kept as an oracle:
+    backtrack, grow, dedup, tautology scan, then level-0 reduction."""
+    solver._cancel_until(0)
+    clause = [int(lit) for lit in literals]
+    if clause:
+        solver.ensure_vars(max(abs(lit) for lit in clause))
+    clause = list(dict.fromkeys(clause))
+    if any(-lit in clause for lit in clause):
+        return solver._ok
+    reduced = []
+    for lit in clause:
+        value = solver._value(lit)
+        if value is True:
+            return solver._ok
+        if value is None:
+            reduced.append(lit)
+    if not reduced:
+        solver._ok = False
+        return False
+    if len(reduced) == 1:
+        if not solver._enqueue(reduced[0], -1):
+            solver._ok = False
+        return solver._ok
+    off = solver._alloc_clause(reduced, 0, False)
+    solver._attach(off, reduced[0], reduced[1])
+    return solver._ok
+
+
+def _solver_state(solver):
+    """Every store the load path writes.  Literal- and variable-indexed
+    stores are read over ``1..num_vars``: their spare capacity is an
+    allocation detail (one bulk growth and many per-clause doublings may
+    reserve different amounts) that no search step reads."""
+    variables = range(1, solver.num_vars + 1)
+    return {
+        "arena": list(solver._arena),
+        "watches": [(list(solver._watches[v]), list(solver._watches[-v]))
+                    for v in variables],
+        "vals": [(solver._vals[v], solver._vals[-v]) for v in variables],
+        "levels": [solver._levels[v] for v in variables],
+        "reasons": [solver._reasons[v] for v in variables],
+        "trail": list(solver.trail),
+        "trail_lim": list(solver.trail_lim),
+        "propagation_head": solver.propagation_head,
+        "num_vars": solver.num_vars,
+        "heap": list(solver._order.heap),
+        "pos": dict(solver._order.pos),
+        "ok": solver._ok,
+    }
+
+
+def _load_batch(rng, num_vars, size):
+    """Clauses with the edge cases the level-0 contract names: duplicate
+    literals, tautologies, empty clauses, units and long clauses."""
+    batch = []
+    for _ in range(size):
+        roll = rng.random()
+        if roll < 0.04:
+            batch.append([])
+            continue
+        width = 1 if roll < 0.25 else rng.randint(2, 6)
+        clause = [rng.choice((1, -1)) * rng.randint(1, num_vars)
+                  for _ in range(width)]
+        if roll > 0.85:
+            clause.append(clause[0])  # duplicate
+        elif roll > 0.75:
+            clause.insert(rng.randint(0, len(clause)), -clause[0])  # tautology
+        batch.append(clause)
+    return batch
+
+
+class TestBulkClauseLoading:
+    """``add_clauses(batch)`` against a loop of ``add_clause`` and against
+    the per-clause load path it replaced: the same solver state, store for
+    store, after every batch."""
+
+    @staticmethod
+    def _prefix(rng, num_vars):
+        """A base database whose units and solve leave level-0 facts (and
+        usually a model above level 0) for the batch to meet."""
+        clauses = _random_clauses(rng, num_vars, rng.randint(2, 3 * num_vars))
+        units = [[rng.choice((1, -1)) * v]
+                 for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 2))]
+        return clauses + units
+
+    def test_bulk_load_matches_per_clause_loads(self):
+        rng = random.Random(41)
+        above_root = went_unsat = 0
+        for _ in range(150):
+            num_vars = rng.randint(3, 24)
+            config = rng.choice(({}, {"branching": "static"},
+                                 {"reduce_interval": 2, "max_lbd_keep": 0}))
+            solvers = [CDCLSolver(**config) for _ in range(3)]
+            bulk, looped, reference = solvers
+            prefix = self._prefix(rng, num_vars)
+            bulk.add_clauses(prefix)
+            for clause in prefix:
+                looped.add_clause(clause)
+                _reference_add_clause(reference, clause)
+            for _round in range(rng.randint(1, 3)):
+                results = [solver.solve().status for solver in solvers]
+                assert len(set(results)) == 1
+                if bulk.trail_lim:
+                    above_root += 1
+                # Batches may name variables the solver has not seen yet.
+                batch = _load_batch(rng, num_vars + rng.randint(0, 6),
+                                    rng.randint(0, 40))
+                was_ok = bulk._ok
+                assert bulk.add_clauses(batch) == bulk._ok
+                for clause in batch:
+                    looped.add_clause(clause)
+                    _reference_add_clause(reference, clause)
+                if was_ok and not bulk._ok:
+                    went_unsat += 1
+                state = _solver_state(bulk)
+                assert _solver_state(looped) == state, batch
+                assert _solver_state(reference) == state, batch
+                num_vars = bulk.num_vars
+        # The sample must reach both of the contract's harder cases.
+        assert above_root > 20
+        assert went_unsat > 5
+
+    def test_root_assigned_literals_are_dropped_or_satisfy(self):
+        solver = CDCLSolver()
+        solver.add_clauses([[1], [-2], [3, 4]])
+        assert solver.solve().is_sat
+        arena_before = list(solver._arena)
+        # -1 and 2 are false at level 0, so [-1, 2, 5, 6] attaches as [5, 6];
+        # [1, 7] and [-2, 8] are satisfied at level 0 and skipped.
+        assert solver.add_clauses([[-1, 2, 5, 6], [1, 7], [-2, 8]])
+        assert solver._arena[len(arena_before):] == [2, 0, 0, 5, 6]
+        assert solver.trail_lim == []
+
+    def test_unsat_midway_still_loads_the_rest(self):
+        bulk, looped = CDCLSolver(), CDCLSolver()
+        batch = [[1, 2], [3], [-3], [4, 5], [-4]]
+        assert bulk.add_clauses(batch) is False
+        for clause in batch:
+            looped.add_clause(clause)
+        assert _solver_state(bulk) == _solver_state(looped)
+        assert bulk.trail == [3, -4]
+        assert bulk.solve().is_unsat
+
+    def test_empty_batch_keeps_the_trail(self):
+        solver = CDCLSolver(CNF(num_vars=4, clauses=[[1, 2], [3, 4]]))
+        assert solver.solve().is_sat
+        before = _solver_state(solver)
+        assert solver.trail_lim  # the model is still on the trail
+        assert solver.add_clauses([]) is True
+        assert _solver_state(solver) == before
+
+
+def _add_random_gates(rng, aig, lits, count):
+    for _ in range(count):
+        a = rng.choice(lits) ^ rng.randint(0, 1)
+        b = rng.choice(lits) ^ rng.randint(0, 1)
+        lits.append(aig.and_gate(a, b))
+
+
+class TestIncrementalCnfEncode:
+    def test_encode_emits_the_tseitin_definition_of_each_new_node(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            aig = AIG()
+            lits = [aig.add_input(f"x{i}") for i in range(rng.randint(1, 6))]
+            _add_random_gates(rng, aig, lits, rng.randint(0, 30))
+            encoder = IncrementalCnf(aig)
+            encoded = {0}
+            for _round in range(rng.randint(1, 4)):
+                # The AIG keeps growing between calls.
+                _add_random_gates(rng, aig, lits, rng.randint(0, 10))
+                requested = [rng.choice(lits) ^ rng.randint(0, 1)
+                             for _ in range(rng.randint(1, 4))]
+                # The cone of the request that is not yet encoded.
+                cone, stack = set(), [lit >> 1 for lit in requested]
+                while stack:
+                    index = stack.pop()
+                    if index in cone or index in encoded:
+                        continue
+                    cone.add(index)
+                    if not aig.is_input(index):
+                        stack.extend(lit >> 1 for lit in aig.node(index))
+                expected = []
+                for index in sorted(cone):
+                    if aig.is_input(index):
+                        continue
+                    left, right = (lit_to_cnf(lit) for lit in aig.node(index))
+                    expected += [[-(index + 1), left], [-(index + 1), right],
+                                 [index + 1, -left, -right]]
+                encoded |= cone
+                start = len(encoder.cnf.clauses)
+                encoder.encode(requested)
+                assert encoder.cnf.clauses[start:] == expected
+                assert encoder.cnf.num_vars == aig.num_nodes
+                assert all(lit != 0 and abs(lit) <= aig.num_nodes
+                           for clause in expected for lit in clause)
 
 
 class TestIncrementalContext:

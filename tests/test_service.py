@@ -358,7 +358,13 @@ class TestGracefulShutdown:
              "--cache-dir", str(cache_dir)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
-        time.sleep(3.0)
+        # Signal on observed progress rather than after a fixed sleep: once
+        # the first mapping is persisted the sweep is running with most of
+        # its work still ahead, however fast the mapper is.
+        deadline = time.monotonic() + 120
+        while (process.poll() is None and time.monotonic() < deadline
+               and not peek_entry_count(cache_dir)):
+            time.sleep(0.05)
         process.send_signal(signal.SIGTERM)
         try:
             _, stderr = process.communicate(timeout=120)
