@@ -1,8 +1,8 @@
 """Clause-database reduction on a long multi-design warm-solver sweep.
 
-The persistent candidate/verify sessions carry one CDCL solver across a
-whole CEGIS run, and a sweep session lives through many designs — without
-learned-clause management the watch lists grow monotonically with every
+A warm CDCL solver that lives through many queries — an incremental SMT
+session, or a solver kept across a sweep's designs — needs learned-clause
+management: without it the watch lists grow monotonically with every
 design the solver survives, propagation slows, and memory is unbounded.
 This benchmark replays that lifecycle directly on one incremental
 :class:`~repro.sat.solver.CDCLSolver`: a sequence of planted (satisfiable

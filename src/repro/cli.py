@@ -26,6 +26,7 @@ from pathlib import Path
 from repro.arch import available_architectures, load_architecture
 from repro.core.templates import available_templates
 from repro.engine.session import MappingSession
+from repro.hdl.behavioral import verilog_to_behavioral
 
 __all__ = ["main", "build_parser", "build_sweep_parser", "build_bench_parser",
            "build_serve_parser", "build_request_parser"]
@@ -61,16 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persist the synthesis cache here (shared across runs)")
     parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
                         help="SAT racing style (default: thread)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="thread one persistent CDCL context through each "
-                             "design's CEGIS run (clause reuse across "
-                             "iterations; identical results, less re-solving)")
-    parser.add_argument("--incremental-verify", action="store_true",
-                        help="verify candidates on one persistent "
-                             "assumption-gated miter session (sketch blasted "
-                             "once, hole values bound as assumptions, failure "
-                             "cores pruning the candidate space; identical "
-                             "results to the portfolio verifier)")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget for the bit-parallel fast "
                              "layers (64 assignments per packed batch; "
@@ -109,15 +100,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                              "workers and later runs (default: in-memory only)")
     parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
                         help="SAT racing style inside each worker (default: thread)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="incremental CEGIS inside each worker: one "
-                             "persistent solver context per design, learned "
-                             "clauses reused across iterations")
-    parser.add_argument("--incremental-verify", action="store_true",
-                        help="incremental verification inside each worker: "
-                             "one persistent assumption-gated miter session "
-                             "per design, verification-failure cores pruning "
-                             "the candidate space")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget for the bit-parallel fast "
                              "layers inside each worker (default: 32)")
@@ -269,10 +251,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="disable synthesis caching (dedup still applies)")
     parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
                         help="SAT racing style inside each worker (default: thread)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="incremental CEGIS inside each worker session")
-    parser.add_argument("--incremental-verify", action="store_true",
-                        help="incremental verification inside each worker session")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget inside each worker (default: 32)")
     return parser
@@ -383,17 +361,21 @@ def _main_map(argv) -> int:
             detail = f"invalid architecture description {args.arch_desc}: {detail}"
         print(f"lakeroad: error: {detail}", file=sys.stderr)
         return 1
+    try:
+        design = verilog_to_behavioral(source, args.module)
+    except (KeyError, ValueError) as exc:
+        detail = exc.args[0] if exc.args else type(exc).__name__
+        print(f"lakeroad: error: cannot import {args.verilog}: {detail}",
+              file=sys.stderr)
+        return 1
     session = MappingSession(enable_cache=not args.no_cache,
                              cache_dir=args.cache_dir,
                              portfolio=args.portfolio,
-                             incremental=args.incremental,
-                             incremental_verify=args.incremental_verify,
                              random_probes=args.probes)
-    result = session.map_verilog(
-        source,
+    result = session.map_design(
+        design,
         template=args.template,
         arch=architecture,
-        module_name=args.module,
         timeout_seconds=args.timeout,
         extra_cycles=args.extra_cycles,
         validate=not args.no_validate,
@@ -403,27 +385,11 @@ def _main_map(argv) -> int:
     if args.stats:
         print(f"cache: {session.cache_stats()}", file=sys.stderr)
         print(f"portfolio wins: {session.portfolio_wins()}", file=sys.stderr)
-        if result.synthesis is not None and result.synthesis.incremental:
-            synthesis = result.synthesis
-            print(f"incremental: {synthesis.clauses_retained} learned clauses "
-                  f"retained, {synthesis.candidate_conflicts} candidate "
-                  f"conflicts, {synthesis.solver_restarts} budget restart(s) "
-                  f"over {synthesis.cegis_iterations} CEGIS iteration(s)",
-                  file=sys.stderr)
-        if result.synthesis is not None and result.synthesis.incremental_verify:
-            synthesis = result.synthesis
-            print(f"incremental verify: {synthesis.verify_clauses_retained} "
-                  f"learned clauses retained, {synthesis.cores_pruned} "
-                  f"pruning core(s), {synthesis.verify_time_seconds:.2f}s "
-                  "in verification", file=sys.stderr)
-        if result.synthesis is not None and (result.synthesis.incremental
-                                             or result.synthesis.incremental_verify):
+        if result.synthesis is not None:
             synthesis = result.synthesis
             print(f"clause DB: peak {synthesis.db_size_peak} learned "
                   f"clause(s), {synthesis.clauses_deleted} deleted by "
                   "reduction", file=sys.stderr)
-        if result.synthesis is not None:
-            synthesis = result.synthesis
             print(f"probes: {synthesis.probe_lanes_evaluated} packed lane(s) "
                   f"evaluated, {synthesis.probe_hits} batch hit(s), "
                   f"{synthesis.prefilter_cex_found} pre-filter "
@@ -526,15 +492,11 @@ def _main_sweep(argv) -> int:
     config = ExperimentConfig(validate=args.validate, template=args.template,
                               workers=args.workers, cache_dir=args.cache_dir,
                               portfolio=args.portfolio,
-                              incremental=args.incremental,
-                              incremental_verify=args.incremental_verify,
                               random_probes=args.probes)
     if args.timeout is not None:
         config.timeout_seconds = {arch: args.timeout for arch in architectures}
     spec = SessionSpec(portfolio=args.portfolio, cache_dir=args.cache_dir,
                        enable_cache=not args.no_cache,
-                       incremental=args.incremental,
-                       incremental_verify=args.incremental_verify,
                        random_probes=args.probes)
 
     interrupted = False
@@ -611,18 +573,8 @@ def _main_sweep(argv) -> int:
           f"({result.hit_rate:.0%})", file=sys.stderr)
     print(f"cache: {result.cache_stats}", file=sys.stderr)
     print(f"portfolio wins: {result.portfolio_wins}", file=sys.stderr)
-    if args.incremental:
-        print(f"incremental: {result.clauses_retained} learned clauses "
-              f"retained, {result.solver_restarts} budget restart(s)",
-              file=sys.stderr)
-    if args.incremental_verify:
-        print(f"incremental verify: {result.verify_clauses_retained} learned "
-              f"clauses retained, {result.cores_pruned} pruning core(s)",
-              file=sys.stderr)
-    if args.incremental or args.incremental_verify:
-        print(f"clause DB: peak {result.db_size_peak} learned clause(s), "
-              f"{result.clauses_deleted} deleted by reduction",
-              file=sys.stderr)
+    print(f"clause DB: peak {result.db_size_peak} learned clause(s), "
+          f"{result.clauses_deleted} deleted by reduction", file=sys.stderr)
     print(f"probes: {result.probe_lanes_evaluated} packed lane(s) evaluated, "
           f"{result.probe_hits} batch hit(s), {result.prefilter_cex_found} "
           "pre-filter counterexample(s)", file=sys.stderr)
@@ -658,12 +610,6 @@ def _main_sweep(argv) -> int:
             "hit_rate": result.hit_rate,
             "cache": result.cache_stats,
             "portfolio_wins": result.portfolio_wins,
-            "incremental": args.incremental,
-            "clauses_retained": result.clauses_retained,
-            "solver_restarts": result.solver_restarts,
-            "incremental_verify": args.incremental_verify,
-            "verify_clauses_retained": result.verify_clauses_retained,
-            "cores_pruned": result.cores_pruned,
             "clauses_deleted": result.clauses_deleted,
             "db_size_peak": result.db_size_peak,
             "propagations": result.propagations,
@@ -884,8 +830,6 @@ def _main_serve(argv) -> int:
 
     spec = SessionSpec(portfolio=args.portfolio, cache_dir=args.cache_dir,
                        enable_cache=not args.no_cache,
-                       incremental=args.incremental,
-                       incremental_verify=args.incremental_verify,
                        random_probes=args.probes)
     qos = {}
     if args.max_pending is not None:

@@ -45,26 +45,17 @@ class SynthesisOutcome:
     time_seconds: float = 0.0
     candidate_strategy: str = "none"
     verify_strategy: str = "none"
-    #: Whether the candidate step ran on one persistent solver session.
-    incremental: bool = False
     #: Why a run degraded to ``unknown`` (empty for clean outcomes).
     diagnostic: str = ""
-    #: Whether verification ran on one persistent assumption-gated miter
-    #: session (core-driven candidate pruning enabled).
-    incremental_verify: bool = False
-    #: Incremental-session statistics (all zero in from-scratch mode).
-    solver_restarts: int = 0
+    #: Candidate-step SAT conflicts and per-step wall time (all iterations).
     candidate_conflicts: int = 0
     candidate_time_seconds: float = 0.0
     verify_time_seconds: float = 0.0
-    clauses_retained: int = 0
-    verify_clauses_retained: int = 0
-    cores_pruned: int = 0
-    #: Clause-DB reduction telemetry from the persistent sessions: learned
+    #: Clause-DB reduction telemetry from the candidate sessions: learned
     #: clauses deleted, and the learned-database high-water mark.
     clauses_deleted: int = 0
     db_size_peak: int = 0
-    #: Propagation telemetry from the run's warm solver sessions: trail
+    #: Propagation telemetry from the run's candidate sessions: trail
     #: literals propagated, watcher entries examined, and wall seconds
     #: spent inside ``CDCLSolver.solve``.
     propagations: int = 0
@@ -99,21 +90,13 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
               solver: Optional[SmtSolver] = None,
               check_inputs: bool = True,
               budget: Optional[Budget] = None,
-              incremental: bool = False,
-              incremental_verify: bool = False,
               random_probes: int = 32) -> SynthesisOutcome:
     """Synthesize a ``t``-cycle implementation of ``design`` guided by ``sketch``,
     equivalent over the window ``at_time .. at_time + cycles``.
 
     The time budget can be given either as a started :class:`Budget` (the
     mapping session's, so sketch-generation time already counts against it)
-    or as a plain ``timeout_seconds`` convenience.  ``incremental`` selects
-    the persistent-solver CEGIS candidate mode (clause reuse across
-    iterations); ``incremental_verify`` selects the persistent
-    assumption-gated miter session for the verification step (the sketch
-    cone is blasted once and verification-failure cores prune the
-    candidate space).  The outcome's statuses and hole values are the same
-    under every mode combination.
+    or as a plain ``timeout_seconds`` convenience.
     """
     start = time.monotonic()
     if budget is None:
@@ -140,8 +123,6 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         hole_constraints=list(sketch.hole_constraints),
         budget=budget,
         solver=solver,
-        incremental=incremental,
-        incremental_verify=incremental_verify,
         random_probes=random_probes,
     )
 
@@ -151,16 +132,10 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         time_seconds=time.monotonic() - start,
         candidate_strategy=cegis.candidate_strategy,
         verify_strategy=cegis.verify_strategy,
-        incremental=cegis.incremental,
-        incremental_verify=cegis.incremental_verify,
         diagnostic=cegis.diagnostic,
-        solver_restarts=cegis.solver_restarts,
         candidate_conflicts=cegis.candidate_conflicts,
         candidate_time_seconds=cegis.candidate_time_seconds,
         verify_time_seconds=cegis.verify_time_seconds,
-        clauses_retained=cegis.clauses_retained,
-        verify_clauses_retained=cegis.verify_clauses_retained,
-        cores_pruned=cegis.cores_pruned,
         clauses_deleted=cegis.clauses_deleted,
         db_size_peak=cegis.db_size_peak,
         propagations=cegis.propagations,

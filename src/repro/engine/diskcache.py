@@ -50,8 +50,11 @@ __all__ = ["SCHEMA_VERSION", "DB_NAME", "DiskSynthesisCache",
 #: way that makes old entries unusable; mismatched databases fall back to
 #: empty instead of deserializing stale results.  v2: SynthesisOutcome grew
 #: the incremental-CEGIS statistics fields and the entries table gained a
-#: ``last_used_at`` column for LRU eviction.
-SCHEMA_VERSION = 2
+#: ``last_used_at`` column for LRU eviction.  v3: SynthesisOutcome lost the
+#: six CEGIS-mode fields that MappingRecord keeps as constants, when the
+#: opt-in incremental candidate and verify modes were removed; v2 pickles
+#: would restore them as stray attributes.
+SCHEMA_VERSION = 3
 
 #: The database filename inside a cache directory (the CLI and the session
 #: must agree on it).

@@ -72,15 +72,11 @@ class SessionSpec:
     portfolio: str = "thread"
     cache_dir: Optional[str] = None
     enable_cache: bool = True
-    incremental: bool = False
-    incremental_verify: bool = False
     random_probes: int = 32
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "SessionSpec":
         return cls(portfolio=config.portfolio, cache_dir=config.cache_dir,
-                   incremental=config.incremental,
-                   incremental_verify=config.incremental_verify,
                    random_probes=config.random_probes)
 
     def to_dict(self) -> Dict[str, object]:
@@ -103,8 +99,6 @@ class SessionSpec:
         return MappingSession(portfolio=self.portfolio,
                               cache_dir=self.cache_dir,
                               enable_cache=self.enable_cache,
-                              incremental=self.incremental,
-                              incremental_verify=self.incremental_verify,
                               random_probes=self.random_probes)
 
 
@@ -132,54 +126,24 @@ class SweepResult:
         return self.record_cache_hits / len(self.records) if self.records else 0.0
 
     @property
-    def clauses_retained(self) -> int:
-        """Learned clauses the incremental sessions carried across CEGIS
-        iterations, summed over the records that actually ran synthesis
-        (cache hits replay the original outcome's counters and would
-        otherwise claim solver work that never happened this run)."""
-        return sum(record.clauses_retained for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def solver_restarts(self) -> int:
-        """Budget-aware incremental-session restarts, summed over the
-        records that actually ran synthesis this run."""
-        return sum(record.solver_restarts for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def verify_clauses_retained(self) -> int:
-        """Learned clauses the incremental verify sessions carried across
-        CEGIS iterations, summed over the records that actually ran
-        synthesis this run."""
-        return sum(record.verify_clauses_retained for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def cores_pruned(self) -> int:
-        """Verification-failure cores turned into candidate-pruning
-        blocking constraints, summed over the records that actually ran
-        synthesis this run."""
-        return sum(record.cores_pruned for record in self.records
-                   if not record.cache_hit)
-
-    @property
     def clauses_deleted(self) -> int:
         """Learned clauses dropped by clause-DB reduction, summed over the
-        records that actually ran synthesis this run."""
+        records that actually ran synthesis this run (cache hits replay the
+        original outcome's counters and would otherwise claim solver work
+        that never happened this run)."""
         return sum(record.clauses_deleted for record in self.records
                    if not record.cache_hit)
 
     @property
     def db_size_peak(self) -> int:
-        """Largest learned database any record's persistent sessions
+        """Largest learned database any record's candidate sessions
         carried this run (the sweep's solver-memory high-water mark)."""
         return max((record.db_size_peak for record in self.records
                     if not record.cache_hit), default=0)
 
     @property
     def propagations(self) -> int:
-        """Trail literals unit-propagated by the warm solver sessions,
+        """Trail literals unit-propagated by the candidate sessions,
         summed over the records that actually ran synthesis this run."""
         return sum(record.propagations for record in self.records
                    if not record.cache_hit)
@@ -310,12 +274,9 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
     The returned :class:`SweepResult` aggregates per-record solver
     telemetry over the designs that actually ran synthesis this run
     (cache hits replay archived counters and are excluded): learned
-    clauses retained/deleted, budget-aware restarts, pruning cores, and
-    ``db_size_peak`` — the learned-database high-water mark that the
-    solver's LBD clause reduction keeps bounded on long sweeps.  On paper
-    scale enumerations this is the number to watch: without reduction the
-    persistent sessions' watch lists grow monotonically with every CEGIS
-    iteration a sweep survives.
+    clauses deleted by reduction, propagation counts, and ``db_size_peak``
+    — the learned-database high-water mark that the solver's LBD clause
+    reduction keeps bounded.
     """
     config = config or ExperimentConfig()
     benchmarks = list(benchmarks)

@@ -56,16 +56,6 @@ class ExperimentConfig:
     #: SAT racing style for the sessions this config builds:
     #: ``"thread"``, ``"process"`` or ``"sequential"``.
     portfolio: str = "thread"
-    #: Run the CEGIS candidate step on one persistent solver session per
-    #: design (learned clauses reused across iterations).  Statuses and
-    #: hole values are identical to from-scratch mode.
-    incremental: bool = False
-    #: Run the CEGIS verification step on one persistent assumption-gated
-    #: miter session per design (sketch blasted once, hole values bound as
-    #: assumptions, failure cores pruning the candidate space).  Statuses,
-    #: hole values and iteration counts are identical to the portfolio
-    #: verifier.
-    incremental_verify: bool = False
     #: Random-probe budget for the packed (64-lane word-parallel) fast
     #: layers in the solver and the CEGIS candidate step; see
     #: :mod:`repro.bv.bitsim`.  0 disables random probing entirely.
@@ -112,18 +102,17 @@ class MappingRecord:
     #: The concrete mapper that produced the record (e.g. ``sota-lattice``)
     #: when ``tool`` is a family label like ``sota``; empty otherwise.
     tool_variant: str = ""
-    #: Whether synthesis ran on a persistent (incremental) solver session,
-    #: and the per-run incremental statistics (zero in from-scratch mode).
+    #: Retired CEGIS-mode fields.  Nothing sets them any more; they keep
+    #: their constant values so the key set of :meth:`to_dict` — which
+    #: archived JSONL dumps and the benchmark's committed records carry —
+    #: does not change.
     incremental: bool = False
     clauses_retained: int = 0
     solver_restarts: int = 0
-    #: Whether verification ran on a persistent assumption-gated miter
-    #: session, and its per-run statistics (zero in portfolio mode).
     incremental_verify: bool = False
     verify_clauses_retained: int = 0
     cores_pruned: int = 0
-    #: Clause-DB reduction telemetry from the persistent solver sessions
-    #: (zero when neither incremental mode ran).
+    #: Clause-DB reduction telemetry from the CEGIS candidate sessions.
     clauses_deleted: int = 0
     db_size_peak: int = 0
     #: Propagation telemetry from the run's warm solver sessions: trail
@@ -220,12 +209,6 @@ def record_from_result(result, *, architecture: str, benchmark: str,
         luts=resources.luts if resources else 0,
         registers=resources.registers if resources else 0,
         cache_hit=result.cache_hit,
-        incremental=synthesis.incremental if synthesis else False,
-        clauses_retained=synthesis.clauses_retained if synthesis else 0,
-        solver_restarts=synthesis.solver_restarts if synthesis else 0,
-        incremental_verify=synthesis.incremental_verify if synthesis else False,
-        verify_clauses_retained=synthesis.verify_clauses_retained if synthesis else 0,
-        cores_pruned=synthesis.cores_pruned if synthesis else 0,
         clauses_deleted=synthesis.clauses_deleted if synthesis else 0,
         db_size_peak=synthesis.db_size_peak if synthesis else 0,
         propagations=synthesis.propagations if synthesis else 0,
@@ -294,7 +277,6 @@ def run_lakeroad(benchmarks: Sequence[Microbenchmark],
         return run_lakeroad_parallel(benchmarks, config, workers=workers)
     if session is None:
         if config.cache_dir is not None or config.portfolio != "thread" \
-                or config.incremental or config.incremental_verify \
                 or config.random_probes != 32:
             # The config asks for a non-default session; honour it instead
             # of silently dropping the knobs on the serial path.  The

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bv import bvand, bvvar
@@ -57,28 +57,25 @@ def _canonical_bit_order(bit_vars: Dict[str, int]) -> List[int]:
 
 
 def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
-                  base: Sequence[int] = (),
                   deadline: Optional[float] = None,
                   on_solve=None) -> Optional[Dict[int, bool]]:
     """Refine ``model`` to the unique greedy-minimal input-bit assignment.
 
     ``bits`` is either a bit-name → CNF-variable mapping — minimized in
     the canonical order of :func:`_canonical_bit_order` — or an explicit
-    variable sequence, minimized in the given order.  ``base`` is a fixed
-    assumption prefix held throughout (the incremental verifier passes the
-    candidate's hole bindings and the gated miter output); the greedy pass
-    then walks the bits in order, keeping each bit it can prove zeroable
-    under the already-fixed prefix.  The result is the unique satisfying
+    variable sequence, minimized in the given order.  The greedy pass
+    walks the bits in order, keeping each bit it can prove zeroable under
+    the already-fixed prefix.  The result is the unique satisfying
     assignment minimizing the ordered bit tuple — a property of the
-    constraint set and the order, not of the search — so a warm
-    incremental solver and a cold portfolio member canonicalize to the
-    very same model.  ``on_solve`` observes every trial result (the
-    candidate session uses it for conflict accounting).  Returns ``None``
-    if the deadline expires mid-refinement.
+    constraint set and the order, not of the search — so whichever
+    solver found the first model, the refined one is the same.
+    ``on_solve`` observes every trial result (the candidate session uses
+    it for conflict accounting).  Returns ``None`` if the deadline expires
+    mid-refinement.
     """
     solver.deadline = deadline
     ordered = _canonical_bit_order(bits) if isinstance(bits, dict) else list(bits)
-    prefix: List[int] = list(base)
+    prefix: List[int] = []
     for var in ordered:
         if not model.get(var, False):
             # Already 0: the current model witnesses this prefix.
@@ -135,19 +132,12 @@ class SmtSolver:
     # ------------------------------------------------------------------ #
     def check(self, constraints: Sequence[BVExpr],
               deadline: Optional[float] = None,
-              canonical: bool = False,
-              sat_layer=None) -> SmtResult:
+              canonical: bool = False) -> SmtResult:
         """Decide satisfiability with the layered strategy.
 
         ``canonical=True`` refines any SAT model found by the portfolio to
         the canonical (name-ordered lexicographically smallest) input
         assignment, making layer-3 models search-independent.
-        ``sat_layer`` replaces the blast-and-race layer with a caller
-        supplied ``(formula, widths, deadline) -> SmtResult`` — the seam
-        the incremental verifier plugs its persistent session into, while
-        layers 1–2 (normalisation, random probing) stay byte-for-byte
-        shared between the portfolio and incremental paths (including the
-        probing RNG stream, which both modes must consume identically).
         """
         start = time.monotonic()
         for constraint in constraints:
@@ -173,8 +163,7 @@ class SmtSolver:
         # re-advanced to just past the winning probe — the position the
         # scalar loop (which stopped there) would have left it at — so
         # every downstream draw, and with it every CEGIS trajectory, stays
-        # byte-for-byte identical across solver configurations and both
-        # verifier modes.
+        # byte-for-byte identical across solver configurations.
         lanes_spent = 0
         if self.random_probes and widths:
             items = list(widths.items())
@@ -206,12 +195,7 @@ class SmtSolver:
             return SmtResult("sat", Model({}, widths), "simulate",
                              time.monotonic() - start)
 
-        # Layer 3: hand to the pluggable SAT layer (an incremental session)
-        # or bit-blast and race the portfolio.
-        if sat_layer is not None:
-            layered = sat_layer(formula, widths, deadline)
-            layered.probe_lanes += lanes_spent
-            return layered
+        # Layer 3: bit-blast and race the portfolio.
         blaster = BitBlaster()
         bits = blaster.blast(formula)
         cnf, input_vars = aig_to_cnf(blaster.aig, bits)
@@ -234,10 +218,10 @@ class SmtSolver:
                 # than the unrefined (search-dependent) model — the same
                 # conservative choice IncrementalSmtSession.check makes.
                 # Returning the raw model here would make near-deadline
-                # counterexamples diverge between solver backends and
-                # verifier modes, silently breaking the canonical-model
-                # equality everything downstream relies on; a run this
-                # close to its budget ends in "timeout" either way.
+                # counterexamples depend on which portfolio member won,
+                # silently breaking the canonical-model trajectory
+                # everything downstream relies on; a run this close to its
+                # budget ends in "timeout" either way.
                 return SmtResult("unknown", None, "timeout",
                                  time.monotonic() - start, sat_result.conflicts,
                                  probe_lanes=lanes_spent)
@@ -255,106 +239,77 @@ class SmtSolver:
                          probe_lanes=lanes_spent)
 
 
-class WarmSolverHost:
-    """Shared warm-solver plumbing for incremental sessions.
+class IncrementalSmtSession:
+    """An incremental word-level solving session: assert, then check.
 
-    Owns one lazily-built :class:`CDCLSolver` kept in sync with a growing
-    :class:`~repro.bv.bitblast.IncrementalContext` CNF (``self.context``),
-    plus the restart bookkeeping.  Both the candidate session
-    (:class:`IncrementalSmtSession`) and the verifier
-    (:class:`~repro.smt.equivalence.IncrementalVerifySession`) host their
-    solver through this class, so the sync-cursor/restart semantics cannot
-    drift between them.
+    Unlike :func:`check_sat`, constraints asserted here are *cumulative*:
+    every :meth:`assert_constraints` call appends obligations to one
+    persistent :class:`~repro.bv.bitblast.IncrementalContext` (stable AIG /
+    CNF literals), and :meth:`check` reuses one lazily built
+    :class:`CDCLSolver` whose learned clauses, activities and level-0
+    facts survive across calls.  Because constraints only ever accumulate,
+    everything the solver learned for an earlier query is still entailed
+    by the current one.
+
+    Satisfying models are *canonical*: after the (heuristic, warm) search
+    finds any model, the session refines it to the lexicographically
+    smallest assignment of the input variables with a sequence of
+    assumption solves.  The lex-min assignment is unique — a property of
+    the formula, not of the search — so the answer never depends on what
+    the solver learned before.
+
+    ``reduce_interval`` / ``max_lbd_keep`` configure the solver's
+    LBD-based clause-database reduction (None defers to the
+    :class:`~repro.sat.solver.CDCLSolver` defaults); reduction bounds the
+    learned database on long sessions and can only change time-to-answer.
+    Session-lifetime reduction and propagation telemetry is exposed as
+    :attr:`clauses_deleted`, :attr:`db_size_peak`, :attr:`propagations`,
+    :attr:`watcher_visits` and :attr:`solve_seconds`.
     """
 
-    def _init_solver_state(self, reduce_interval: Optional[int] = None,
-                           max_lbd_keep: Optional[int] = None) -> None:
+    def __init__(self, reduce_interval: Optional[int] = None,
+                 max_lbd_keep: Optional[int] = None) -> None:
+        self.context = IncrementalContext()
         self._solver: Optional[CDCLSolver] = None
         self._synced_clauses = 0
-        self.restarts = 0
-        #: Clause-DB reduction knobs forwarded to every warm solver this
-        #: host builds; None defers to the CDCLSolver defaults.
+        #: Clause-DB reduction knobs forwarded to the solver; None defers
+        #: to the CDCLSolver defaults.
         self._solver_options: Dict[str, int] = {}
         if reduce_interval is not None:
             self._solver_options["reduce_interval"] = reduce_interval
         if max_lbd_keep is not None:
             self._solver_options["max_lbd_keep"] = max_lbd_keep
-        # Reduction and propagation telemetry accumulated from solvers
-        # dropped by restart(), so session-lifetime counters survive
-        # budget-aware cold restarts.
-        self._deleted_before_restart = 0
-        self._peak_before_restart = 0
-        self._props_before_restart = 0
-        self._visits_before_restart = 0
-        self._solve_seconds_before_restart = 0.0
-
-    def restart(self) -> None:
-        """Drop the warm solver; the context (and its literals) survive.
-
-        The next query rebuilds a cold solver from the full accumulated
-        CNF.  Because every model the sessions return is canonical (a
-        property of the constraint set, not of the search), restarting is
-        purely a scheduling decision — CEGIS uses it when a warm solve
-        burns its budget slice without answering.
-        """
-        if self._solver is not None:
-            self._deleted_before_restart += self._solver.clauses_deleted
-            self._peak_before_restart = max(self._peak_before_restart,
-                                            self._solver.db_size_peak)
-            self._props_before_restart += self._solver.propagations_total
-            self._visits_before_restart += self._solver.watcher_visits
-            self._solve_seconds_before_restart += self._solver.solve_seconds
-            self._solver = None
-            self._synced_clauses = 0
-            self.restarts += 1
-
-    @property
-    def clauses_retained(self) -> int:
-        """Learned clauses currently carried by the warm solver."""
-        return self._solver.learned_alive if self._solver is not None else 0
+        self._widths: Dict[str, int] = {}
+        self._root_unsat = False
+        #: Session statistics (cumulative over the session's lifetime).
+        self.checks = 0
+        self.conflicts = 0
+        self.asserted = 0
 
     @property
     def clauses_deleted(self) -> int:
-        """Learned clauses dropped by DB reduction over the session's life
-        (including solvers already discarded by :meth:`restart`)."""
-        current = self._solver.clauses_deleted if self._solver is not None else 0
-        return self._deleted_before_restart + current
+        """Learned clauses dropped by DB reduction over the session's life."""
+        return self._solver.clauses_deleted if self._solver is not None else 0
 
     @property
     def db_size_peak(self) -> int:
-        """Largest learned database any of the session's solvers carried."""
-        current = self._solver.db_size_peak if self._solver is not None else 0
-        return max(self._peak_before_restart, current)
+        """Largest learned database the session's solver carried."""
+        return self._solver.db_size_peak if self._solver is not None else 0
 
     @property
     def propagations(self) -> int:
-        """Trail literals propagated over the session's life (all solvers)."""
-        current = self._solver.propagations_total if self._solver is not None else 0
-        return self._props_before_restart + current
+        """Trail literals propagated over the session's life."""
+        return self._solver.propagations_total if self._solver is not None else 0
 
     @property
     def watcher_visits(self) -> int:
-        """Watcher entries examined over the session's life (all solvers)."""
-        current = self._solver.watcher_visits if self._solver is not None else 0
-        return self._visits_before_restart + current
+        """Watcher entries examined over the session's life."""
+        return self._solver.watcher_visits if self._solver is not None else 0
 
     @property
     def solve_seconds(self) -> float:
         """Wall seconds spent inside ``CDCLSolver.solve`` this session."""
-        current = self._solver.solve_seconds if self._solver is not None else 0.0
-        return self._solve_seconds_before_restart + current
-
-    @property
-    def propagations_per_second(self) -> float:
-        """Session propagation throughput (0.0 before the first solve)."""
-        seconds = self.solve_seconds
-        return self.propagations / seconds if seconds > 0 else 0.0
-
-    @property
-    def watcher_visits_per_propagation(self) -> float:
-        """Mean watcher entries examined per propagated literal."""
-        props = self.propagations
-        return self.watcher_visits / props if props else 0.0
+        return self._solver.solve_seconds if self._solver is not None else 0.0
 
     def _sync_solver(self) -> CDCLSolver:
         """Feed clauses appended since the last check into the live solver."""
@@ -365,48 +320,6 @@ class WarmSolverHost:
         self._solver.add_clauses(cnf.clauses[self._synced_clauses:])
         self._synced_clauses = len(cnf.clauses)
         return self._solver
-
-
-class IncrementalSmtSession(WarmSolverHost):
-    """An incremental word-level solving session: assert once, check often.
-
-    Unlike :func:`check_sat`, constraints asserted here are *cumulative*:
-    every :meth:`assert_constraints` call appends obligations to one
-    persistent :class:`~repro.bv.bitblast.IncrementalContext` (stable AIG /
-    CNF literals), and :meth:`check` reuses one :class:`CDCLSolver` whose
-    learned clauses, activities and level-0 facts survive across calls.
-    Because constraints only ever accumulate, everything the solver learned
-    for an earlier query is still entailed by the current one.
-
-    Satisfying models are *canonical*: after the (heuristic, warm) search
-    finds any model, the session refines it to the lexicographically
-    smallest assignment of the input variables with a sequence of
-    assumption solves.  The lex-min assignment is unique — a property of
-    the formula, not of the search — so a warm incremental session and a
-    cold from-scratch one return identical models over the same asserted
-    constraints.  That canonicity is what lets incremental and from-scratch
-    CEGIS return the same hole values, and it makes :meth:`restart` (drop
-    the warm solver, keep the context) behavior-preserving: only the
-    time-to-answer changes, never the answer.
-
-    ``reduce_interval`` / ``max_lbd_keep`` configure the warm solver's
-    LBD-based clause-database reduction (None defers to the
-    :class:`~repro.sat.solver.CDCLSolver` defaults); reduction bounds the
-    learned database on long sessions and — like restarts — can only
-    change time-to-answer.  Session-lifetime reduction telemetry is
-    exposed as :attr:`clauses_deleted` / :attr:`db_size_peak`.
-    """
-
-    def __init__(self, reduce_interval: Optional[int] = None,
-                 max_lbd_keep: Optional[int] = None) -> None:
-        self.context = IncrementalContext()
-        self._init_solver_state(reduce_interval, max_lbd_keep)
-        self._widths: Dict[str, int] = {}
-        self._root_unsat = False
-        #: Session statistics (cumulative over the session's lifetime).
-        self.checks = 0
-        self.conflicts = 0
-        self.asserted = 0
 
     # ------------------------------------------------------------------ #
     def assert_constraints(self, constraints: Sequence[BVExpr]) -> None:
@@ -438,9 +351,8 @@ class IncrementalSmtSession(WarmSolverHost):
             self.context.encoder.cnf.add_clause([lit_to_cnf(lit)])
 
     def stats(self) -> Dict[str, int]:
-        return {"checks": self.checks, "restarts": self.restarts,
+        return {"checks": self.checks,
                 "conflicts": self.conflicts, "asserted": self.asserted,
-                "clauses_retained": self.clauses_retained,
                 "clauses_deleted": self.clauses_deleted,
                 "db_size_peak": self.db_size_peak,
                 "propagations": self.propagations,
@@ -469,16 +381,11 @@ class IncrementalSmtSession(WarmSolverHost):
         orders would change every candidate canonical model — silently
         invalidating cross-version result equality for persistent caches.
         The bit order is the AIG input order, which is determined by the
-        order constraints were asserted — identical for an incremental
-        session and a from-scratch one replaying the same assertion
-        sequence (CEGIS replays examples and blocking constraints in one
-        shared temporal order for exactly this reason, and only emits
-        blocking constraints over hole bits some example has already
-        introduced, so the input order never depends on the verifier
-        mode).  Zero bits are free (the current model witnesses them);
-        only bits currently 1 need a solver call, and the solver's
-        assumption-prefix trail reuse makes consecutive calls re-propagate
-        almost nothing.
+        order constraints were asserted, so two sessions replaying the
+        same assertion sequence minimize in the same order.  Zero bits are
+        free (the current model witnesses them); only bits currently 1
+        need a solver call, and the solver's assumption-prefix trail reuse
+        makes consecutive calls re-propagate almost nothing.
         """
 
         def note(result: SatResult) -> None:
@@ -534,11 +441,10 @@ _DEFAULT_SOLVER = SmtSolver()
 def check_sat(constraints: Sequence[BVExpr] | BVExpr,
               deadline: Optional[float] = None,
               solver: Optional[SmtSolver] = None,
-              canonical: bool = False,
-              sat_layer=None) -> SmtResult:
+              canonical: bool = False) -> SmtResult:
     """Decide satisfiability of a constraint (or conjunction of constraints)."""
     if isinstance(constraints, BVExpr):
         constraints = [constraints]
     active = solver if solver is not None else _DEFAULT_SOLVER
     return active.check(list(constraints), deadline=deadline,
-                        canonical=canonical, sat_layer=sat_layer)
+                        canonical=canonical)

@@ -253,6 +253,28 @@ class TestCli:
                               f"description {description}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_malformed_verilog_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.v"
+        path.write_text("module broken(input [7:0] a, output [7:0] out);"
+                        " assign out = a +; endmodule")
+        exit_code = main([str(path), "--arch-desc", "intel-cyclone10lp"])
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"lakeroad: error: cannot import {path}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_unknown_module_is_one_line_error(self, tmp_path, capsys):
+        exit_code = main(["map", str(self._design(tmp_path)),
+                          "--arch-desc", "intel-cyclone10lp",
+                          "--module", "nope"])
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"lakeroad: error: cannot import {tmp_path / 'mul.v'}: "
+            "no module named 'nope'\n")
+
     def test_end_to_end_on_fast_architecture(self, tmp_path, capsys):
         source = ("module mul(input clk, input [7:0] a, b, output [7:0] out);"
                   " assign out = a * b; endmodule")

@@ -2,8 +2,8 @@
 
 Learned clauses are entailed by the problem clauses, so deleting them can
 change only the search trajectory — never a status, a canonical model, an
-unsat core's validity, or the four-way CEGIS mode equality.  These tests
-force reductions with aggressive knobs and hold the solver to that.
+unsat core's validity, or a CEGIS result.  These tests force reductions
+with aggressive knobs and hold the solver to that.
 """
 
 import random
@@ -11,12 +11,14 @@ import random
 import pytest
 
 from repro.bv import bv, bvvar, bvand, bvmul, bvne, bvult
+from repro.engine.backends import SolverBackend, cdcl_config
 from repro.engine.budget import Budget
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
+from repro.sat.portfolio import SatPortfolio
 from repro.sat.solver import CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
-from repro.smt.equivalence import IncrementalVerifySession
+from repro.smt.equivalence import check_equivalence
 from repro.smt.solver import IncrementalSmtSession, SmtSolver
 
 
@@ -233,41 +235,29 @@ class TestSessionReduction:
         assert "clauses_deleted" in stats and "db_size_peak" in stats
 
     def test_verify_session_reduction_keeps_counterexamples_canonical(self):
+        # A portfolio whose only member reduces after every learned clause
+        # must report the same canonical counterexamples as the default.
         width = 8
-        x, k = bvvar("x", width), bvvar("k", width)
-        obligations = [Obligation(bvult(x, bv(100, width)), bvult(x, k))]
-        aggressive = IncrementalVerifySession(obligations, {"k": width},
-                                              {"x": width},
-                                              reduce_interval=1, max_lbd_keep=0)
-        plain = IncrementalVerifySession(obligations, {"k": width},
-                                         {"x": width})
+        x = bvvar("x", width)
+        spec = bvult(x, bv(100, width))
+        aggressive = SmtSolver(random_probes=0, portfolio=SatPortfolio(
+            [SolverBackend("cdcl-reduce-all",
+                           cdcl_config(reduce_interval=1, max_lbd_keep=0))]))
+        plain = SmtSolver(random_probes=0)
         for candidate in (120, 90, 0, 100):
-            lhs = aggressive.check_obligation(0, {"k": candidate})
-            rhs = plain.check_obligation(0, {"k": candidate})
+            sketch = bvult(x, bv(candidate, width))
+            lhs = check_equivalence(sketch, spec, solver=aggressive,
+                                    canonical=True)
+            rhs = check_equivalence(sketch, spec, solver=plain, canonical=True)
             assert lhs.status == rhs.status
-            if lhs.is_sat:
-                assert lhs.model["x"] == rhs.model["x"]
-        wrong = aggressive.check_obligation(0, {"k": 90})
-        prefix = aggressive.failure_core(0, {"k": 90}, {"x": wrong.model["x"]})
-        assert prefix
-        for name, bit, value in prefix:
-            assert name == "k" and (90 >> bit) & 1 == value
-
-    def test_telemetry_survives_budget_restarts(self):
-        session = IncrementalSmtSession(reduce_interval=1, max_lbd_keep=0)
-        session.assert_constraints([bvult(bv(6, 5), bvvar("h", 5)),
-                                    bvult(bvvar("h", 5), bv(30, 5))])
-        session.check()
-        deleted_before = session.clauses_deleted
-        peak_before = session.db_size_peak
-        session.restart()
-        assert session.clauses_deleted == deleted_before
-        assert session.db_size_peak == peak_before
-        session.check()
-        assert session.clauses_deleted >= deleted_before
+            if lhs.is_different:
+                assert lhs.counterexample["x"] == rhs.counterexample["x"]
+        assert aggressive.portfolio.wins["cdcl-reduce-all"] > 0
 
 
 class TestCegisModeEqualityUnderReduction:
+    """CEGIS results are the same with and without clause-DB reduction."""
+
     def _interval_instance(self, width=10):
         x, k, m = bvvar("x", width), bvvar("k", width), bvvar("m", width)
         obligation = Obligation(
@@ -275,66 +265,79 @@ class TestCegisModeEqualityUnderReduction:
             bvand(bvult(x, k), bvult(m, x)))
         return [obligation], {"k": width, "m": width}
 
-    def test_mid_run_reduction_leaves_all_four_modes_identical(self):
+    def test_mid_run_reduction_leaves_all_fields_identical(self):
         obligations, holes = self._interval_instance()
         baseline = synthesize(obligations, holes, solver=SmtSolver(seed=0),
                               random_probes=0, initial_random_examples=0)
         assert baseline.succeeded and baseline.iterations >= 4
-        for incremental in (False, True):
-            for incremental_verify in (False, True):
-                result = synthesize(
-                    obligations, holes, incremental=incremental,
-                    incremental_verify=incremental_verify,
-                    solver=SmtSolver(seed=0), random_probes=0,
-                    initial_random_examples=0,
-                    reduce_interval=2, max_lbd_keep=0)
-                key = (incremental, incremental_verify)
-                assert result.status == baseline.status, key
-                assert result.hole_values == baseline.hole_values, key
-                assert result.iterations == baseline.iterations, key
-                assert result.examples_used == baseline.examples_used, key
-
-    def test_reduction_telemetry_flows_into_the_result(self):
-        obligations, holes = self._interval_instance()
-        result = synthesize(obligations, holes, incremental=True,
-                            incremental_verify=True, solver=SmtSolver(seed=0),
+        result = synthesize(obligations, holes, solver=SmtSolver(seed=0),
                             random_probes=0, initial_random_examples=0,
                             reduce_interval=2, max_lbd_keep=0)
-        assert result.succeeded
-        assert result.db_size_peak > 0
-        assert result.clauses_deleted >= 0
-        # At default (patient) knobs these instances never trigger a
-        # reduction, so the deletion counter stays zero.
-        patient = synthesize(obligations, holes, solver=SmtSolver(seed=0),
-                             random_probes=0, initial_random_examples=0)
-        assert patient.clauses_deleted == 0
+        assert result.status == baseline.status
+        assert result.hole_values == baseline.hole_values
+        assert result.iterations == baseline.iterations
+        assert result.examples_used == baseline.examples_used
+        assert result.verify_strategy == baseline.verify_strategy
 
-    def test_throwaway_session_telemetry_is_counted(self):
-        # From-scratch mode builds a throwaway candidate session per
-        # iteration; its reduction work must be folded into the result.
-        # Factoring a semiprime forces real conflicts in that session.
-        width = 12
+    @staticmethod
+    def _semiprime_instance(width=12):
+        """Factor 3599 = 59 * 61: forces real conflicts in the candidate
+        sessions."""
         h1, h2 = bvvar("h1", width), bvvar("h2", width)
-        result = synthesize(
-            [Obligation(bv(3599, width), bvmul(h1, h2))],
-            {"h1": width, "h2": width},
-            hole_constraints=[bvult(h1, bv(64, width)),
-                              bvult(h2, bv(64, width)),
-                              bvult(bv(1, width), h1),
-                              bvult(bv(1, width), h2)],
-            solver=SmtSolver(seed=0), random_probes=0,
-            initial_random_examples=0, reduce_interval=2, max_lbd_keep=0)
-        assert result.succeeded and not result.incremental
+        return dict(obligations=[Obligation(bv(3599, width), bvmul(h1, h2))],
+                    hole_widths={"h1": width, "h2": width},
+                    hole_constraints=[bvult(h1, bv(64, width)),
+                                      bvult(h2, bv(64, width)),
+                                      bvult(bv(1, width), h1),
+                                      bvult(bv(1, width), h2)])
+
+    def test_reduction_telemetry_flows_into_the_result(self):
+        result = synthesize(**self._semiprime_instance(),
+                            solver=SmtSolver(seed=0), random_probes=0,
+                            initial_random_examples=0,
+                            reduce_interval=2, max_lbd_keep=0)
+        assert result.succeeded
         assert result.hole_values in ({"h1": 59, "h2": 61},
                                       {"h1": 61, "h2": 59})
         assert result.db_size_peak > 0
         assert result.clauses_deleted > 0
+        # At default (patient) knobs this instance never triggers a
+        # reduction, so the deletion counter stays zero.
+        patient = synthesize(**self._semiprime_instance(),
+                             solver=SmtSolver(seed=0), random_probes=0,
+                             initial_random_examples=0)
+        assert patient.hole_values == result.hole_values
+        assert patient.clauses_deleted == 0
+
+    def test_throwaway_session_telemetry_is_counted(self, monkeypatch):
+        # CEGIS builds a throwaway candidate session per iteration; the
+        # result must sum (peak: max) the telemetry of every one of them.
+        import repro.smt.cegis as cegis_mod
+
+        sessions = []
+
+        class RecordedSession(IncrementalSmtSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(cegis_mod, "IncrementalSmtSession",
+                            RecordedSession)
+        obligations, holes = self._interval_instance()
+        result = synthesize(obligations, holes, solver=SmtSolver(seed=0),
+                            random_probes=0, initial_random_examples=0,
+                            reduce_interval=2, max_lbd_keep=0)
+        assert result.succeeded and len(sessions) >= 4
+        assert result.propagations == sum(s.propagations for s in sessions) > 0
+        assert result.watcher_visits == sum(s.watcher_visits for s in sessions)
+        assert result.clauses_deleted == sum(s.clauses_deleted
+                                             for s in sessions)
+        assert result.db_size_peak == max(s.db_size_peak for s in sessions)
 
     def test_budget_still_degrades_cleanly_with_reduction(self):
         obligations, holes = self._interval_instance()
         budget = Budget(timeout_seconds=0.0).start()
         result = synthesize(obligations, holes, budget=budget,
-                            incremental=True, incremental_verify=True,
                             reduce_interval=2, max_lbd_keep=0,
                             random_probes=0, initial_random_examples=0)
         assert result.status == "unknown"

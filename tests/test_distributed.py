@@ -103,19 +103,23 @@ class TestWireForms:
 
     def test_session_spec_round_trips(self):
         spec = SessionSpec(portfolio="sequential", enable_cache=False,
-                           incremental=True, incremental_verify=True,
                            random_probes=7)
         rebuilt = SessionSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
+        # A peer that still ships the retired CEGIS-mode keys is understood.
+        legacy = dict(spec.to_dict(), incremental=True, incremental_verify=True)
+        assert SessionSpec.from_dict(legacy) == spec
 
     def test_experiment_config_round_trips(self):
         config = ExperimentConfig(template="dsp", random_probes=5,
-                                  incremental=True,
                                   timeout_seconds={"intel-cyclone10lp": 9.0})
         rebuilt = ExperimentConfig.from_dict(
             json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
         assert rebuilt.timeout_seconds["intel-cyclone10lp"] == 9.0
+        legacy = dict(config.to_dict(), incremental=True,
+                      incremental_verify=True)
+        assert ExperimentConfig.from_dict(legacy) == config
 
 
 # --------------------------------------------------------------------------- #
@@ -397,13 +401,9 @@ class TestArtifactResume:
 # --------------------------------------------------------------------------- #
 @needs_fork
 class TestEndToEnd:
-    @pytest.mark.parametrize("incremental,incremental_verify",
-                             [(False, False), (True, False),
-                              (False, True), (True, True)])
-    def test_distributed_equals_serial(self, incremental, incremental_verify):
+    def test_distributed_equals_serial(self):
         benchmarks = _fast_benchmarks(4)
-        config = ExperimentConfig(incremental=incremental,
-                                  incremental_verify=incremental_verify)
+        config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
         result = run_distributed_sweep(benchmarks, config, workers=2,
                                        shard_size=1, timeout=120)

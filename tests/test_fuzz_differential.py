@@ -9,15 +9,14 @@ random instances from a seed and cross-checks:
   enumeration on random CNFs — sat/unsat status and model validity;
 * the word-level ``check_sat`` stack (simplify → blast → CNF → solver)
   against brute-force evaluation on random bitvector constraints;
-* all four CEGIS mode combinations (``incremental`` ×
-  ``incremental_verify``) against each other — statuses, hole values,
-  iteration and example counts — and the winning hole assignments against
-  brute-force enumeration of the full hole space;
+* CEGIS under both in-process portfolio racing styles, each with and
+  without aggressive candidate-session reduction, against each other —
+  statuses, hole values, iteration and example counts — and the winning
+  hole assignments against brute-force enumeration of the full hole space;
 * clause-database reduction at its most aggressive settings
   (``reduce_interval=2, max_lbd_keep=0`` — reduce after every other
-  learned clause, protect nothing but locked clauses) against brute force
-  and against the unreduced baseline, over warm incremental solver use and
-  all four CEGIS modes;
+  learned clause, protect nothing but locked clauses) against brute force,
+  over warm incremental solver use;
 * the bit-parallel :class:`~repro.bv.bitsim.PackedEvaluator` against the
   scalar evaluator, lane by lane, on random expressions covering **every**
   operator at random widths and batch sizes — and ``AIG.simulate_packed``
@@ -26,9 +25,10 @@ random instances from a seed and cross-checks:
   :class:`~repro.sat.legacy.LegacyCDCLSolver` — not just statuses but the
   **entire observable trajectory** (models in emission order, trail,
   conflict/decision/propagation/restart counters, cores, reduction
-  telemetry) over incremental add-clause/assumption workloads, plus the
-  four CEGIS modes re-run on the legacy engine via monkeypatching and
-  unsat-core strengthening re-solves across three independent engines;
+  telemetry) over incremental add-clause/assumption workloads, plus CEGIS
+  (with and without reduction) re-run on the legacy engine via
+  monkeypatching and unsat-core strengthening re-solves across three
+  independent engines;
 * the warm solver service under randomized QoS churn — flood submissions,
   admission-cap rejections, and elastic pool resizes interleaved with a
   benchmark sweep — against the same sweep run serially: the served
@@ -61,6 +61,7 @@ from repro.bv.bitsim import PackedEvaluator, pack_assignments, unpack_lane
 from repro.bv.eval import evaluate, var_widths
 from repro.engine.backends import backend_by_name
 from repro.sat.cnf import CNF
+from repro.sat.portfolio import make_portfolio
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import SmtSolver, check_sat
 
@@ -504,17 +505,16 @@ class TestArenaLegacyDifferential:
 
         def run_modes(obligation, holes, case_seed):
             results = {}
-            for incremental in (False, True):
-                for incremental_verify in (False, True):
-                    outcome = synthesize(
-                        [obligation], holes, incremental=incremental,
-                        incremental_verify=incremental_verify,
-                        solver=SmtSolver(seed=0), seed=case_seed & 0xFFFF,
-                        max_iterations=256)
-                    results[(incremental, incremental_verify)] = (
-                        outcome.status, outcome.hole_values,
-                        outcome.iterations, outcome.examples_used,
-                        outcome.propagations)
+            for reduced in (False, True):
+                knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
+                    if reduced else {}
+                outcome = synthesize(
+                    [obligation], holes, solver=SmtSolver(seed=0),
+                    seed=case_seed & 0xFFFF, max_iterations=256, **knobs)
+                results[reduced] = (
+                    outcome.status, outcome.hole_values,
+                    outcome.iterations, outcome.examples_used,
+                    outcome.propagations)
             return results
 
         for index in range(max(1, CEGIS_CASES // 3)):
@@ -538,7 +538,7 @@ class TestArenaLegacyDifferential:
 
 
 # --------------------------------------------------------------------------- #
-# (f) CEGIS differential: four mode combinations vs brute force
+# (f) CEGIS differential: racing styles x reduction vs brute force
 # --------------------------------------------------------------------------- #
 class TestCegisDifferential:
     def test_mode_combinations_agree_and_match_brute_force(self):
@@ -558,25 +558,21 @@ class TestCegisDifferential:
             obligation = Obligation(spec=spec, sketch=sketch)
 
             outcomes = {}
-            for incremental in (False, True):
-                for incremental_verify in (False, True):
-                    for reduced in (False, True):
-                        # reduced=True re-runs the mode with the most
-                        # aggressive clause-DB reduction settings; every
-                        # combination must stay outcome-identical.
-                        knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
-                            if reduced else {}
-                        outcomes[(incremental, incremental_verify, reduced)] = \
-                            synthesize(
-                                [obligation], holes,
-                                incremental=incremental,
-                                incremental_verify=incremental_verify,
-                                solver=SmtSolver(seed=0),
-                                seed=case_seed & 0xFFFF,
-                                max_iterations=256, **knobs)
-            base = outcomes[(False, False, False)]
+            for portfolio in ("thread", "sequential"):
+                for reduced in (False, True):
+                    # reduced=True re-runs the mode with the most
+                    # aggressive clause-DB reduction settings; every
+                    # combination must stay outcome-identical.
+                    knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
+                        if reduced else {}
+                    outcomes[(portfolio, reduced)] = synthesize(
+                        [obligation], holes,
+                        solver=SmtSolver(seed=0,
+                                         portfolio=make_portfolio(portfolio)),
+                        seed=case_seed & 0xFFFF, max_iterations=256, **knobs)
+            base = outcomes[("thread", False)]
             for key, outcome in outcomes.items():
-                context = (f"mode {key} vs (False, False, False) on "
+                context = (f"mode {key} vs ('thread', False) on "
                            f"spec={spec!r} sketch={sketch!r} "
                            f"{_replay('cegis', case_seed)}")
                 assert outcome.status == base.status, context
@@ -640,9 +636,7 @@ class TestServiceQosChurnDifferential:
             rng = random.Random(case_seed)
             benchmarks = small_workloads(4, seed=case_seed & 0xFFFF,
                                          max_width=6)
-            config = ExperimentConfig(
-                incremental=rng.random() < 0.5,
-                incremental_verify=rng.random() < 0.5)
+            config = ExperimentConfig()
             serial = run_sweep(benchmarks, config, workers=1).records
             context = _replay("qos-churn", case_seed)
 

@@ -14,6 +14,7 @@ from repro.engine.session import MappingSession
 from repro.harness.runner import (
     ExperimentConfig,
     MappingRecord,
+    record_from_result,
     records_from_jsonl,
     records_to_jsonl,
     run_baselines,
@@ -161,6 +162,35 @@ class TestRecordTransport:
         records_to_jsonl([self._record()], path)
         path.write_text(path.read_text() + "\n\n")
         assert len(records_from_jsonl(path)) == 1
+
+    def test_record_keys_are_pinned(self, mul8_verilog):
+        # Archived JSONL dumps and the benchmark's committed records carry
+        # exactly these keys; the six retired CEGIS-mode fields stay, with
+        # values nothing sets any more.
+        with MappingSession(enable_cache=False) as session:
+            result = session.map_verilog(mul8_verilog, template="dsp",
+                                         arch="intel-cyclone10lp",
+                                         validate=False)
+        data = record_from_result(result, architecture="intel-cyclone10lp",
+                                  benchmark="mul8", form="mul", width=8,
+                                  stages=0, signed=False).to_dict()
+        assert sorted(data) == [
+            "architecture", "benchmark", "cache_hit", "clauses_deleted",
+            "clauses_retained", "cores_pruned", "db_size_peak", "dsps",
+            "form", "incremental", "incremental_verify", "luts", "outcome",
+            "prefilter_cex_found", "probe_hits", "probe_lanes_evaluated",
+            "propagations", "registers", "signed", "solver_restarts",
+            "solver_solve_seconds", "stages", "time_seconds", "tool",
+            "tool_variant", "verify_clauses_retained", "watcher_visits",
+            "width"]
+        assert data["outcome"] == "success"
+        assert {key: data[key] for key in (
+            "incremental", "incremental_verify", "clauses_retained",
+            "verify_clauses_retained", "cores_pruned", "solver_restarts")} \
+            == {"incremental": False, "incremental_verify": False,
+                "clauses_retained": 0, "verify_clauses_retained": 0,
+                "cores_pruned": 0, "solver_restarts": 0}
+        assert data["incremental"] is False and data["incremental_verify"] is False
 
 
 # --------------------------------------------------------------------------- #

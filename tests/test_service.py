@@ -183,17 +183,12 @@ class TestCrashRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism: served ≡ serial in all four incremental modes
+# Determinism: served ≡ serial
 # --------------------------------------------------------------------------- #
 class TestServedEqualsSerial:
-    @pytest.mark.parametrize("incremental,incremental_verify",
-                             [(False, False), (True, False),
-                              (False, True), (True, True)])
-    def test_served_records_equal_serial_sweep(self, incremental,
-                                               incremental_verify):
+    def test_served_records_equal_serial_sweep(self):
         benchmarks = _fast_benchmarks(4)
-        config = ExperimentConfig(incremental=incremental,
-                                  incremental_verify=incremental_verify)
+        config = ExperimentConfig()
         serial = run_sweep(benchmarks, config, workers=1).records
         spec = SessionSpec.from_config(config)
         with SolverService(spec, workers=2) as service:
