@@ -1,4 +1,4 @@
-"""Bit-parallel probing: packed vs scalar throughput, and cross-race identity.
+"""Bit-parallel probing: packed vs scalar throughput, and portfolio identity.
 
 The packed evaluator (``repro.bv.bitsim``) answers "does any of these 64
 random assignments satisfy the formula?" with word-parallel kernels over
@@ -12,13 +12,13 @@ must hold for it to be shippable:
 * it must be invisible — probing draws from the same seeded RNG stream as
   the historical scalar loop and rewinds it on a hit, so every CEGIS
   trajectory (statuses, hole values, iteration counts) is identical under
-  every portfolio racing style, and probing on or off never changes a
-  verdict.
+  the racing portfolio and under ``cdcl`` alone, and probing on or off
+  never changes a verdict.
 
 This benchmark asserts both: a >= ``SPEEDUP_FLOOR`` packed-over-scalar
 throughput ratio on real tier-1 equivalence miters (identity of every lane
-checked first), and byte-identical end-to-end mapping outcomes across the
-in-process racing styles at the default probe budget.
+checked first), and byte-identical end-to-end mapping outcomes under both
+portfolios at the default probe budget.
 """
 
 import random
@@ -34,6 +34,7 @@ from repro.core.sketch_gen import DesignInterface, generate_sketch
 from repro.engine.session import MappingSession
 from repro.harness.bench import probe_throughput
 from repro.hdl.behavioral import verilog_to_behavioral
+from repro.sat.portfolio import SatPortfolio
 from repro.vendor.library import PrimitiveLibrary
 from repro.workloads import sample_workloads
 
@@ -139,8 +140,10 @@ def test_packed_probe_throughput_on_tier1_miters(benchmark):
         f"(expected >= {SPEEDUP_FLOOR}x)")
 
 
-def _map_all(portfolio: str, random_probes: int):
+def _map_all(alone: bool, random_probes: int):
+    """Map the sample under the racing portfolio, or ``cdcl`` alone."""
     outcomes = {}
+    portfolio = SatPortfolio.from_names(["cdcl"]) if alone else None
     with MappingSession(enable_cache=False, portfolio=portfolio,
                         random_probes=random_probes) as session:
         for benchmark in sample_workloads(ARCH, DESIGN_COUNT, seed=0,
@@ -161,28 +164,28 @@ def _map_all(portfolio: str, random_probes: int):
 @pytest.mark.benchmark(group="bitparallel-probe")
 def test_cegis_outcomes_identical_across_modes(benchmark):
     """End-to-end mapping with packed probing enabled must be trajectory-
-    identical under the thread and sequential portfolio races, and probing
+    identical under the racing portfolio and under cdcl alone, and probing
     must not change which designs solve."""
-    baseline = _map_all("thread", random_probes=32)
+    baseline = _map_all(False, random_probes=32)
     assert any(o["status"] == "success" for o in baseline.values()), (
         "race-identity check is vacuous: no tier-1 design solved")
     assert any(o["probe_lanes"] > 0 for o in baseline.values()), (
         "race-identity check is vacuous: packed probing never ran")
 
-    outcomes = benchmark.pedantic(_map_all, args=("sequential", 32),
+    outcomes = benchmark.pedantic(_map_all, args=(True, 32),
                                   iterations=1, rounds=1)
     for name, expected in baseline.items():
         got = outcomes[name]
         assert got["status"] == expected["status"], (
-            f"{name}: status diverged under the sequential race")
+            f"{name}: status diverged under cdcl alone")
         assert got["hole_values"] == expected["hole_values"], (
-            f"{name}: hole values diverged under the sequential race")
+            f"{name}: hole values diverged under cdcl alone")
         assert got["iterations"] == expected["iterations"], (
-            f"{name}: iteration count diverged under the sequential race")
+            f"{name}: iteration count diverged under cdcl alone")
 
     # Probing is an accelerator, not an oracle: disabling it may change the
     # CEGIS trajectory (different counterexample order) but never the verdict.
-    unprobed = _map_all("thread", random_probes=0)
+    unprobed = _map_all(False, random_probes=0)
     for name, expected in baseline.items():
         assert unprobed[name]["status"] == expected["status"], (
             f"{name}: outcome changed when probing was disabled")
@@ -190,5 +193,5 @@ def test_cegis_outcomes_identical_across_modes(benchmark):
             f"{name}: probes ran despite random_probes=0")
 
     statuses = sorted(o["status"] for o in baseline.values())
-    print(f"\noutcomes identical across racing styles "
+    print(f"\noutcomes identical under both portfolios "
           f"(probes on and off): {statuses}")

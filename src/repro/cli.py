@@ -31,12 +31,19 @@ from repro.hdl.behavioral import verilog_to_behavioral
 __all__ = ["main", "build_parser", "build_sweep_parser", "build_bench_parser",
            "build_serve_parser", "build_request_parser"]
 
-_PORTFOLIO_KINDS = ("thread", "process", "sequential")
+
+class _VerdictParser(argparse.ArgumentParser):
+    """The parser of a subcommand whose exit codes are mapping verdicts
+    (2 unsat, 3 timeout): a usage error prints one ``lakeroad: error:``
+    line and exits 1, so it cannot pass for an unsat verdict."""
+
+    def error(self, message: str):
+        self.exit(1, f"lakeroad: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``map`` (default) subcommand parser: map one Verilog file."""
-    parser = argparse.ArgumentParser(
+    parser = _VerdictParser(
         prog="lakeroad",
         description="FPGA technology mapping using sketch-guided program synthesis "
                     "(reproduction of the ASPLOS 2024 Lakeroad paper). "
@@ -60,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the session's synthesis cache")
     parser.add_argument("--cache-dir", default=None,
                         help="persist the synthesis cache here (shared across runs)")
-    parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
-                        help="SAT racing style (default: thread)")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget for the bit-parallel fast "
                              "layers (64 assignments per packed batch; "
@@ -98,8 +103,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="persistent synthesis cache directory shared by "
                              "workers and later runs (default: in-memory only)")
-    parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
-                        help="SAT racing style inside each worker (default: thread)")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget for the bit-parallel fast "
                              "layers inside each worker (default: 32)")
@@ -249,8 +252,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "workers and the front door (default: in-memory)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable synthesis caching (dedup still applies)")
-    parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
-                        help="SAT racing style inside each worker (default: thread)")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget inside each worker (default: 32)")
     return parser
@@ -260,7 +261,7 @@ def build_request_parser() -> argparse.ArgumentParser:
     """The ``request`` subcommand parser: query a running service."""
     from repro.engine.service import DEFAULT_SOCKET
 
-    parser = argparse.ArgumentParser(
+    parser = _VerdictParser(
         prog="lakeroad request",
         description="Send one map request to a running 'lakeroad serve' "
                     "and print the MappingRecord as JSON. Exit codes mirror "
@@ -370,7 +371,6 @@ def _main_map(argv) -> int:
         return 1
     session = MappingSession(enable_cache=not args.no_cache,
                              cache_dir=args.cache_dir,
-                             portfolio=args.portfolio,
                              random_probes=args.probes)
     result = session.map_design(
         design,
@@ -491,12 +491,10 @@ def _main_sweep(argv) -> int:
         parser.error("--probes must be non-negative")
     config = ExperimentConfig(validate=args.validate, template=args.template,
                               workers=args.workers, cache_dir=args.cache_dir,
-                              portfolio=args.portfolio,
                               random_probes=args.probes)
     if args.timeout is not None:
         config.timeout_seconds = {arch: args.timeout for arch in architectures}
-    spec = SessionSpec(portfolio=args.portfolio, cache_dir=args.cache_dir,
-                       enable_cache=not args.no_cache,
+    spec = SessionSpec(cache_dir=args.cache_dir, enable_cache=not args.no_cache,
                        random_probes=args.probes)
 
     interrupted = False
@@ -828,8 +826,7 @@ def _main_serve(argv) -> int:
     if args.client_queue is not None and args.client_queue < 1:
         parser.error("--client-queue must be at least 1")
 
-    spec = SessionSpec(portfolio=args.portfolio, cache_dir=args.cache_dir,
-                       enable_cache=not args.no_cache,
+    spec = SessionSpec(cache_dir=args.cache_dir, enable_cache=not args.no_cache,
                        random_probes=args.probes)
     qos = {}
     if args.max_pending is not None:

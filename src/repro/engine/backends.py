@@ -10,15 +10,12 @@ A backend's ``run`` callable has the signature::
     run(cnf, deadline, assumptions, should_stop=None) -> SatResult
 
 where ``should_stop`` is an optional zero-argument callable the portfolio
-uses to cancel losing members once a race has been decided.  Legacy
-three-argument callables are accepted; they simply cannot be cancelled
-early.
+uses to cancel losing members once a race has been decided.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sat.cnf import CNF
@@ -51,36 +48,11 @@ class SolverBackend:
     #: cheap queries on the strongest engine only (deterministic and
     #: GIL-friendly) while hard queries are still raced by every member.
     stagger: float = 0.0
-    supports_cancellation: bool = field(init=False, default=False)
-
-    def __post_init__(self) -> None:
-        self.supports_cancellation = _accepts_should_stop(self.run)
 
     def solve(self, cnf: CNF, deadline: Optional[float],
               assumptions: Sequence[int] = (),
               should_stop: Optional[Callable[[], bool]] = None) -> SatResult:
-        if self.supports_cancellation:
-            return self.run(cnf, deadline, assumptions, should_stop=should_stop)
-        return self.run(cnf, deadline, assumptions)
-
-
-def _accepts_should_stop(fn: Callable[..., SatResult]) -> bool:
-    """Whether ``fn`` takes the cancellation hook.
-
-    The hook is always passed by keyword, so a cancellable backend must
-    name the parameter ``should_stop`` (or accept ``**kwargs``); a fourth
-    positional parameter under any other name is not treated as the hook.
-    """
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return False
-    if any(p.kind == inspect.Parameter.VAR_KEYWORD
-           for p in signature.parameters.values()):
-        return True
-    parameter = signature.parameters.get("should_stop")
-    return parameter is not None and parameter.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        return self.run(cnf, deadline, assumptions, should_stop=should_stop)
 
 
 _REGISTRY: Dict[str, SolverBackend] = {}
@@ -151,12 +123,10 @@ register_backend(SolverBackend(
 # sooner): under the GIL, CPU-bound members time-share a core, so an eager
 # second engine roughly halves the primary's throughput — and a race
 # winner's model steers CEGIS counterexamples, so eager racing also makes
-# synthesis trajectories timing-dependent.  The *process* portfolio
-# ignores the stagger and races every default member immediately (true
-# parallelism), which is where the diversified configurations below earn
-# their keep: restart cadence, phase polarity and branching order are the
-# axes on which CDCL run times diverge by orders of magnitude, so a wide
-# race hedges against any single configuration's pathological case.
+# synthesis trajectories timing-dependent.  Once they join, the
+# diversified configurations below hedge against one configuration's
+# pathological case: restart cadence, phase polarity and branching order
+# are the axes on which CDCL run times diverge by orders of magnitude.
 register_backend(SolverBackend(
     "dpll", _run_dpll,
     description="iterative DPLL with unit propagation and pure literals",

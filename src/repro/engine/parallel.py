@@ -69,15 +69,13 @@ class SessionSpec:
     identically.
     """
 
-    portfolio: str = "thread"
     cache_dir: Optional[str] = None
     enable_cache: bool = True
     random_probes: int = 32
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "SessionSpec":
-        return cls(portfolio=config.portfolio, cache_dir=config.cache_dir,
-                   random_probes=config.random_probes)
+        return cls(cache_dir=config.cache_dir, random_probes=config.random_probes)
 
     def to_dict(self) -> Dict[str, object]:
         """The JSON wire form: the distributed handshake ships this
@@ -96,8 +94,7 @@ class SessionSpec:
     def build(self):
         from repro.engine.session import MappingSession
 
-        return MappingSession(portfolio=self.portfolio,
-                              cache_dir=self.cache_dir,
+        return MappingSession(cache_dir=self.cache_dir,
                               enable_cache=self.enable_cache,
                               random_probes=self.random_probes)
 

@@ -53,9 +53,6 @@ class ExperimentConfig:
     #: Directory for the persistent synthesis cache shared by every worker
     #: (and by later runs); None keeps the cache in-memory and per-process.
     cache_dir: Optional[str] = None
-    #: SAT racing style for the sessions this config builds:
-    #: ``"thread"``, ``"process"`` or ``"sequential"``.
-    portfolio: str = "thread"
     #: Random-probe budget for the packed (64-lane word-parallel) fast
     #: layers in the solver and the CEGIS candidate step; see
     #: :mod:`repro.bv.bitsim`.  0 disables random probing entirely.
@@ -276,8 +273,7 @@ def run_lakeroad(benchmarks: Sequence[Microbenchmark],
 
         return run_lakeroad_parallel(benchmarks, config, workers=workers)
     if session is None:
-        if config.cache_dir is not None or config.portfolio != "thread" \
-                or config.random_probes != 32:
+        if config.cache_dir is not None or config.random_probes != 32:
             # The config asks for a non-default session; honour it instead
             # of silently dropping the knobs on the serial path.  The
             # session is ours, so release its disk-cache handle when done.

@@ -233,6 +233,36 @@ class TestCli:
                         " assign out = a * b; endmodule")
         return path
 
+    @pytest.mark.parametrize("argv", [
+        ["{design}", "--no-such-flag"],
+        ["map", "--portfolio", "thread", "{design}"],
+        ["{design}", "--no-cache", "--cache-dir", "{tmp}"],
+        ["{tmp}/missing.v"],
+        ["{design}", "--probes", "-1"],
+        ["request", "{design}", "--no-such-flag"],
+        ["request", "{tmp}/missing.v"],
+    ], ids=["unknown-flag", "retired-portfolio", "no-cache-with-cache-dir",
+            "missing-file", "negative-probes", "request-unknown-flag",
+            "request-missing-file"])
+    def test_usage_error_exits_1_not_the_unsat_code(self, tmp_path, capsys,
+                                                   argv):
+        design = self._design(tmp_path)
+        argv = [arg.format(design=design, tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lakeroad: error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["request", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_unknown_arch_desc_is_one_line_error(self, tmp_path, capsys):
         exit_code = main([str(self._design(tmp_path)), "--arch-desc", "nope"])
         assert exit_code == 1

@@ -102,12 +102,13 @@ class TestWireForms:
             json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_session_spec_round_trips(self):
-        spec = SessionSpec(portfolio="sequential", enable_cache=False,
-                           random_probes=7)
+        spec = SessionSpec(enable_cache=False, random_probes=7)
         rebuilt = SessionSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
-        # A peer that still ships the retired CEGIS-mode keys is understood.
-        legacy = dict(spec.to_dict(), incremental=True, incremental_verify=True)
+        # A peer that still ships the retired CEGIS-mode and racing-style
+        # keys is understood.
+        legacy = dict(spec.to_dict(), incremental=True, incremental_verify=True,
+                      portfolio="process")
         assert SessionSpec.from_dict(legacy) == spec
 
     def test_experiment_config_round_trips(self):
@@ -118,7 +119,7 @@ class TestWireForms:
         assert rebuilt == config
         assert rebuilt.timeout_seconds["intel-cyclone10lp"] == 9.0
         legacy = dict(config.to_dict(), incremental=True,
-                      incremental_verify=True)
+                      incremental_verify=True, portfolio="process")
         assert ExperimentConfig.from_dict(legacy) == config
 
 

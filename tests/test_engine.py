@@ -2,6 +2,7 @@
 the solver-backend registry, the concurrent portfolio race, the synthesis
 cache and the MappingSession lifecycle."""
 
+import threading
 import time
 
 import pytest
@@ -108,27 +109,6 @@ class TestBackendRegistry:
         finally:
             unregister_backend("test-noop")
         assert "test-noop" not in available_backends()
-
-    def test_cancellation_detection(self):
-        named = SolverBackend(
-            "test-named",
-            lambda c, d, a, should_stop=None: SatResult(status="unknown"),
-            default=False)
-        keyword_only = SolverBackend(
-            "test-kwonly",
-            lambda c, d, a, *, should_stop=None: SatResult(status="unknown"),
-            default=False)
-        legacy = SolverBackend("test-legacy", lambda c, d, a: SatResult(status="unknown"),
-                               default=False)
-        other_fourth = SolverBackend(
-            "test-other", lambda c, d, a, verbose=False: SatResult(status="unknown"),
-            default=False)
-        assert named.supports_cancellation
-        assert keyword_only.supports_cancellation
-        assert not legacy.supports_cancellation
-        assert not other_fourth.supports_cancellation
-        # The hook is passed by keyword, so even keyword-only signatures work.
-        assert keyword_only.solve(CNF(clauses=[[1]]), None, (), lambda: False).is_unknown
 
 
 class TestPortfolioRace:
@@ -243,11 +223,19 @@ class TestPortfolioRace:
         assert winner == "fallback"
         assert result.is_sat
 
-    def test_sequential_mode_preserved(self):
-        portfolio = SatPortfolio(concurrent=False)
+    def test_single_member_runs_on_calling_thread(self):
+        threads = []
+
+        def observed(cnf, deadline, assumptions, should_stop=None):
+            threads.append(threading.current_thread())
+            return SatResult(status="sat", model={})
+
+        portfolio = SatPortfolio([SolverBackend("only", observed)])
         result, winner = portfolio.solve(self._satisfiable_cnf())
-        assert result.is_sat
-        assert winner == "cdcl"
+        assert result.is_sat and winner == "only"
+        assert threads == [threading.current_thread()]
+        assert SatPortfolio.from_names(["cdcl"]).solve(
+            self._satisfiable_cnf())[1] == "cdcl"
 
     def test_stagger_does_not_hold_timeout_hostage(self):
         """A timing-out query returns at its deadline, not after the

@@ -9,8 +9,8 @@ random instances from a seed and cross-checks:
   enumeration on random CNFs — sat/unsat status and model validity;
 * the word-level ``check_sat`` stack (simplify → blast → CNF → solver)
   against brute-force evaluation on random bitvector constraints;
-* CEGIS under both in-process portfolio racing styles, each with and
-  without aggressive candidate-session reduction, against each other —
+* CEGIS under the racing portfolio and under ``cdcl`` alone, each with
+  and without aggressive candidate-session reduction, against each other —
   statuses, hole values, iteration and example counts — and the winning
   hole assignments against brute-force enumeration of the full hole space;
 * clause-database reduction at its most aggressive settings
@@ -61,7 +61,7 @@ from repro.bv.bitsim import PackedEvaluator, pack_assignments, unpack_lane
 from repro.bv.eval import evaluate, var_widths
 from repro.engine.backends import backend_by_name
 from repro.sat.cnf import CNF
-from repro.sat.portfolio import make_portfolio
+from repro.sat.portfolio import SatPortfolio
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import SmtSolver, check_sat
 
@@ -538,8 +538,13 @@ class TestArenaLegacyDifferential:
 
 
 # --------------------------------------------------------------------------- #
-# (f) CEGIS differential: racing styles x reduction vs brute force
+# (f) CEGIS differential: race vs cdcl alone x reduction vs brute force
 # --------------------------------------------------------------------------- #
+#: The racing portfolio and its strongest member alone.
+_PORTFOLIOS = {"race": SatPortfolio,
+               "cdcl": lambda: SatPortfolio.from_names(["cdcl"])}
+
+
 class TestCegisDifferential:
     def test_mode_combinations_agree_and_match_brute_force(self):
         checked_sat = 0
@@ -558,7 +563,7 @@ class TestCegisDifferential:
             obligation = Obligation(spec=spec, sketch=sketch)
 
             outcomes = {}
-            for portfolio in ("thread", "sequential"):
+            for portfolio in ("race", "cdcl"):
                 for reduced in (False, True):
                     # reduced=True re-runs the mode with the most
                     # aggressive clause-DB reduction settings; every
@@ -568,11 +573,11 @@ class TestCegisDifferential:
                     outcomes[(portfolio, reduced)] = synthesize(
                         [obligation], holes,
                         solver=SmtSolver(seed=0,
-                                         portfolio=make_portfolio(portfolio)),
+                                         portfolio=_PORTFOLIOS[portfolio]()),
                         seed=case_seed & 0xFFFF, max_iterations=256, **knobs)
-            base = outcomes[("thread", False)]
+            base = outcomes[("race", False)]
             for key, outcome in outcomes.items():
-                context = (f"mode {key} vs ('thread', False) on "
+                context = (f"mode {key} vs ('race', False) on "
                            f"spec={spec!r} sketch={sketch!r} "
                            f"{_replay('cegis', case_seed)}")
                 assert outcome.status == base.status, context

@@ -24,7 +24,7 @@ from repro.bv.bitblast import IncrementalContext
 from repro.bv.cnf import IncrementalCnf, lit_to_cnf
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.sat.cnf import CNF
-from repro.sat.portfolio import make_portfolio
+from repro.sat.portfolio import SatPortfolio
 from repro.sat.solver import CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import IncrementalSmtSession, SmtSolver
@@ -433,10 +433,14 @@ class TestIncrementalSmtSession:
         assert session.check(deadline=time.monotonic() - 1.0).is_unknown
 
 
+#: The racing portfolio and its strongest member alone.
+_PORTFOLIOS = {"race": SatPortfolio,
+               "cdcl": lambda: SatPortfolio.from_names(["cdcl"])}
+
 #: The solver configurations CEGIS must walk one trajectory under: both
-#: in-process portfolio racing styles, each with the default and with the
-#: most aggressive clause-DB reduction in the candidate sessions.
-_MODES = [(portfolio, reduced) for portfolio in ("thread", "sequential")
+#: portfolios, each with the default and with the most aggressive clause-DB
+#: reduction in the candidate sessions.
+_MODES = [(portfolio, reduced) for portfolio in _PORTFOLIOS
           for reduced in (False, True)]
 
 
@@ -448,9 +452,9 @@ def _assert_modes_equal(obligations, hole_widths, **kwargs):
         knobs = {"reduce_interval": 2, "max_lbd_keep": 0} if reduced else {}
         results[(portfolio, reduced)] = synthesize(
             obligations, hole_widths,
-            solver=SmtSolver(seed=0, portfolio=make_portfolio(portfolio)),
+            solver=SmtSolver(seed=0, portfolio=_PORTFOLIOS[portfolio]()),
             **knobs, **kwargs)
-    base = results[("thread", False)]
+    base = results[("race", False)]
     for key, result in results.items():
         assert result.status == base.status, key
         assert result.hole_values == base.hole_values, key
@@ -505,13 +509,12 @@ class TestIncrementalCegis:
                 sketch = generate_sketch("dsp", architecture, interface,
                                          primitive_library)
                 outcomes = {}
-                for portfolio in ("thread", "sequential"):
+                for portfolio, make in _PORTFOLIOS.items():
                     outcomes[portfolio] = f_lr_star(
                         sketch, design.program, at_time=design.pipeline_depth,
                         cycles=1, timeout_seconds=60,
-                        solver=SmtSolver(
-                            seed=0, portfolio=make_portfolio(portfolio)))
-                base = outcomes["thread"]
+                        solver=SmtSolver(seed=0, portfolio=make()))
+                base = outcomes["race"]
                 for key, outcome in outcomes.items():
                     assert outcome.status == base.status, (bench.name, key)
                     assert outcome.hole_values == base.hole_values, \
@@ -615,24 +618,28 @@ class TestGoldenTrajectories:
 
 class TestSweepEquality:
     def test_parallel_sweep_records_equal_across_modes(self, fast_benchmarks):
-        # Sharded sweeps under both in-process racing styles produce the
-        # same records, solver counters included.
+        # A sharded sweep under the racing portfolio and a serial sweep
+        # under cdcl alone produce the same records, solver counters
+        # included.
         from repro.engine.parallel import SessionSpec, run_sweep
+        from repro.engine.session import MappingSession
         from repro.harness.runner import ExperimentConfig
 
         benchmarks = fast_benchmarks(4)
+        config = ExperimentConfig()
+        raced = run_sweep(benchmarks, config, workers=2,
+                          session_spec=SessionSpec(enable_cache=False))
+        alone = run_sweep(benchmarks, config, workers=1,
+                          session=MappingSession(
+                              enable_cache=False,
+                              portfolio=_PORTFOLIOS["cdcl"]()))
         records = {}
-        for portfolio in ("thread", "sequential"):
-            config = ExperimentConfig(portfolio=portfolio)
-            spec = SessionSpec(portfolio=portfolio, enable_cache=False)
-            result = run_sweep(benchmarks, config, workers=2, session_spec=spec)
-            records[portfolio] = [record.to_dict() for record in result.records]
-        for threaded, sequential in zip(records["thread"],
-                                        records["sequential"]):
-            for key in ("time_seconds", "solver_solve_seconds"):
-                threaded.pop(key)
-                sequential.pop(key)
-            assert threaded == sequential
+        for name, result in (("race", raced), ("cdcl", alone)):
+            records[name] = [record.to_dict() for record in result.records]
+            for record in records[name]:
+                for key in ("time_seconds", "solver_solve_seconds"):
+                    record.pop(key)
+        assert records["race"] == records["cdcl"]
 
 
 class TestIncrementalVerify:
@@ -651,10 +658,9 @@ class TestIncrementalVerify:
         width = 8
         x = bvvar("x", width)
         spec = bvult(x, bv(100, width))
-        for portfolio in ("thread", "sequential"):
+        for portfolio, make in _PORTFOLIOS.items():
             # Probing off, so every counterexample comes from the SAT layer.
-            solver = SmtSolver(seed=0, random_probes=0,
-                               portfolio=make_portfolio(portfolio))
+            solver = SmtSolver(seed=0, random_probes=0, portfolio=make())
             assert check_equivalence(bvult(x, bv(100, width)), spec,
                                      solver=solver, canonical=True
                                      ).is_equivalent

@@ -1,14 +1,9 @@
-"""Tests for the parallel execution layer: sharded sweeps, the
-process-based portfolio race, record transport, and baseline labeling."""
-
-import multiprocessing
-import time
-import warnings
+"""Tests for the parallel execution layer: sharded sweeps, record
+transport, and baseline labeling."""
 
 import pytest
 
 from repro.baselines import YosysLikeMapper, sota_for
-from repro.engine.backends import SolverBackend
 from repro.engine.parallel import SessionSpec, run_lakeroad_parallel, run_sweep
 from repro.engine.session import MappingSession
 from repro.harness.runner import (
@@ -20,15 +15,10 @@ from repro.harness.runner import (
     run_baselines,
     run_lakeroad,
 )
-from repro.sat.cnf import CNF
-from repro.sat.portfolio import ProcessPortfolio, SatPortfolio, make_portfolio
-from repro.sat.solver import SatResult
+from repro.sat.portfolio import SatPortfolio
 from repro.workloads import sample_workloads
 
 from _fixtures import AND4, small_workloads as _fast_benchmarks
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-needs_fork = pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
 
 
 def _comparable(record: MappingRecord) -> dict:
@@ -121,10 +111,10 @@ class TestShardedSweep:
             [_comparable(r) for r in warm.records]
 
     def test_session_spec_builds_configured_sessions(self, tmp_path):
-        spec = SessionSpec(portfolio="sequential", cache_dir=str(tmp_path),
-                           enable_cache=False)
+        spec = SessionSpec(cache_dir=str(tmp_path), enable_cache=False,
+                           random_probes=0)
         session = spec.build()
-        assert not session.portfolio.concurrent
+        assert session.random_probes == 0
         assert not session.enable_cache
 
 
@@ -214,107 +204,11 @@ class TestBaselineLabels:
         assert YosysLikeMapper().name == "yosys"
 
 
-# --------------------------------------------------------------------------- #
-# Process-based portfolio racing
-# --------------------------------------------------------------------------- #
-def _cnf():
-    return CNF(clauses=[[1, 2], [-1], [-2, 3]])
-
-
-def _fast_unsat(cnf, deadline, assumptions, should_stop=None):
-    return SatResult(status="unsat")
-
-
-def _slow_sat(cnf, deadline, assumptions, should_stop=None):
-    time.sleep(30)
-    return SatResult(status="sat", model={})
-
-
-def _unknown(cnf, deadline, assumptions, should_stop=None):
-    return SatResult(status="unknown")
-
-
-def _crash(cnf, deadline, assumptions, should_stop=None):
-    raise RuntimeError("boom")
-
-
-@needs_fork
-class TestProcessPortfolio:
-    def test_winner_returns_without_waiting_for_hard_killed_loser(self):
-        portfolio = ProcessPortfolio([SolverBackend("slow", _slow_sat),
-                                      SolverBackend("fast", _fast_unsat)])
-        start = time.monotonic()
-        result, winner = portfolio.solve(_cnf())
-        elapsed = time.monotonic() - start
-        assert winner == "fast" and result.is_unsat
-        # The 30 s sleeper is terminated, not joined to completion.
-        assert elapsed < 5.0
-        assert portfolio.win_counts() == {"fast": 1}
-
-    def test_all_unknown_returns_unknown(self):
-        portfolio = ProcessPortfolio([SolverBackend("u1", _unknown),
-                                      SolverBackend("u2", _unknown)])
-        result, winner = portfolio.solve(_cnf(), deadline=time.monotonic() + 10.0)
-        assert result.is_unknown and winner == "none"
-
-    def test_crashing_member_loses_race(self):
-        portfolio = ProcessPortfolio([SolverBackend("crash", _crash),
-                                      SolverBackend("steady", _fast_unsat)])
-        result, winner = portfolio.solve(_cnf())
-        assert winner == "steady" and result.is_unsat
-
-    def test_all_members_crashing_raises(self):
-        portfolio = ProcessPortfolio([SolverBackend("crash-a", _crash),
-                                      SolverBackend("crash-b", _crash)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(RuntimeError, match="boom"):
-                portfolio.solve(_cnf())
-
-    def test_deadline_hard_kills_all_members(self):
-        portfolio = ProcessPortfolio([SolverBackend("s1", _slow_sat),
-                                      SolverBackend("s2", _slow_sat)])
-        start = time.monotonic()
-        result, winner = portfolio.solve(_cnf(), deadline=time.monotonic() + 0.3)
-        assert result.is_unknown and winner == "none"
-        assert time.monotonic() - start < 5.0
-
-    def test_default_members_solve_real_cnf(self):
-        portfolio = ProcessPortfolio()
-        result, winner = portfolio.solve(_cnf(), deadline=time.monotonic() + 30.0)
-        assert result.is_sat
-        assert winner in portfolio.member_names
-
-    def test_single_member_short_circuits_to_sequential(self):
-        calls = []
-
-        def observed(cnf, deadline, assumptions, should_stop=None):
-            calls.append(True)  # runs in-process, so the append is visible
-            return SatResult(status="unsat")
-
-        portfolio = ProcessPortfolio([SolverBackend("only", observed)])
-        result, winner = portfolio.solve(_cnf())
-        assert result.is_unsat and winner == "only" and calls
-
-
 class TestPortfolioFactory:
-    def test_make_portfolio_kinds(self):
-        assert isinstance(make_portfolio("process"), ProcessPortfolio)
-        thread = make_portfolio("thread")
-        assert isinstance(thread, SatPortfolio) and thread.concurrent
-        sequential = make_portfolio("sequential")
-        assert not sequential.concurrent
-        with pytest.raises(ValueError):
-            make_portfolio("quantum")
-
-    def test_make_portfolio_by_names(self):
-        portfolio = make_portfolio("thread", names=["cdcl"])
-        assert portfolio.member_names == ["cdcl"]
-
-    @needs_fork
     def test_session_portfolio_switch_end_to_end(self):
-        session = MappingSession(portfolio="process")
-        assert isinstance(session.portfolio, ProcessPortfolio)
+        portfolio = SatPortfolio.from_names(["cdcl"])
+        session = MappingSession(portfolio=portfolio)
+        assert session.portfolio is portfolio
         assert session.solver.portfolio is session.portfolio
         result = session.map_verilog(AND4, template="bitwise", arch="sofa",
                                      timeout_seconds=60)
